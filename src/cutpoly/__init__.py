@@ -9,7 +9,6 @@ initial-complex triangulation route, both against the closed form
 from .errors import CostGuardError, EdgeListParseError, VerificationError
 from .graph import (
     CutConfiguration,
-    CutVector,
     Graph,
     Partition,
     complete_bipartite,
@@ -20,7 +19,7 @@ from .graph import (
     path,
     tree_from_edges,
 )
-from .lattice import LatticeBasis, lattice_basis, lattice_contains, polytope_dimension
+from .lattice import LatticeBasis, lattice_basis, polytope_dimension
 from .ehrhart import (
     CountSequence,
     count_lattice_points,
@@ -44,7 +43,6 @@ from .polynomial import (
 from .grobner import (
     CutBinomial,
     PartitionMonomial,
-    PartitionVariable,
     buchberger_check,
     count_standard_by_degree,
     count_type1,

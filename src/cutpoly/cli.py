@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import ehrhart, grobner, lattice
+from . import ehrhart, grobner
 from .errors import CostGuardError, EdgeListParseError, VerificationError
 from .graph import (
     Graph,
@@ -154,19 +154,15 @@ def cmd_hstar(args) -> RunReport:
     g, descriptor = _graph_from_args(args)
     cfg = configuration(g)
     data = {"graph": descriptor, "method": args.method}
-    data["dimension"] = lattice.polytope_dimension(cfg)
+    data["dimension"] = cfg.basis.rank - 1
+    routes = ("semigroup", "lp") if args.method == "both" else (args.method,)
     results = {}
     sequences = {}
-    if args.method in ("semigroup", "both"):
-        h, cs = ehrhart.hstar_polynomial(cfg, "semigroup", args.max_dilate)
-        results["semigroup"] = _poly_entry(h, "semigroup")
-        results["semigroup"]["counts"] = list(cs.counts)
-        sequences["semigroup"] = cs
-    if args.method in ("lp", "both"):
-        h, cs = ehrhart.hstar_polynomial(cfg, "lp", args.max_dilate)
-        results["lp"] = _poly_entry(h, "lp")
-        results["lp"]["counts"] = list(cs.counts)
-        sequences["lp"] = cs
+    for route in routes:
+        h, cs = ehrhart.hstar_polynomial(cfg, route, args.max_dilate)
+        results[route] = _poly_entry(h, route)
+        results[route]["counts"] = list(cs.counts)
+        sequences[route] = cs
     data["results"] = results
     if args.method == "both":
         agree = results["semigroup"]["coefficients"] == results["lp"]["coefficients"]
@@ -175,9 +171,8 @@ def cmd_hstar(args) -> RunReport:
             raise VerificationError("semigroup and lp routes disagree:\n" +
                                     json.dumps(data, indent=2))
     if args.counts_out is not None:
-        produced = sequences.get("semigroup", sequences.get("lp"))
         with open(args.counts_out, "w", encoding="utf-8") as fh:
-            fh.write(produced.to_json() + "\n")
+            fh.write(sequences[routes[0]].to_json() + "\n")
         data["counts_out"] = args.counts_out
     return RunReport(command="hstar", data=data)
 

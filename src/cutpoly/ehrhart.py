@@ -17,7 +17,7 @@ from operator import add
 
 from .errors import CostGuardError, VerificationError
 from .graph import fundamental_cycles
-from .lattice import LatticeBasis, lattice_basis, polytope_dimension
+from .lattice import LatticeBasis
 from .polynomial import IntPolynomial
 
 
@@ -29,7 +29,10 @@ class CountSequence:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(self.counts)
+        for value in (self.dimension, *counts):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"dimension and counts must be integers, got {value!r}")
         object.__setattr__(self, "counts", counts)
         if self.dimension < 0:
             raise ValueError("dimension must be nonnegative")
@@ -52,8 +55,7 @@ class CountSequence:
     def from_json(cls, text: str) -> "CountSequence":
         data = json.loads(text)
         try:
-            return cls(dimension=int(data["dimension"]),
-                       counts=tuple(int(c) for c in data["counts"]))
+            return cls(dimension=data["dimension"], counts=tuple(data["counts"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed count-sequence JSON: {exc}") from None
 
@@ -81,7 +83,7 @@ def count_semigroup(cfg, m: int) -> int:
 
 def semigroup_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     """One sumset sweep giving all counts for m = 0..max_dilate (default d+1)."""
-    d = polytope_dimension(cfg)
+    d = cfg.basis.rank - 1
     M = d + 1 if max_dilate is None else max_dilate
     return CountSequence(dimension=d, counts=tuple(_semigroup_layer_sizes(cfg.columns, M)))
 
@@ -243,14 +245,11 @@ def count_lattice_points(cfg, basis: LatticeBasis, m: int) -> int:
     return total
 
 
-def lattice_point_counts(cfg, max_dilate: int | None = None,
-                         basis: LatticeBasis | None = None) -> CountSequence:
+def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     """CountSequence via the lattice-point route (independent of normality)."""
-    d = polytope_dimension(cfg)
+    d = cfg.basis.rank - 1
     M = d + 1 if max_dilate is None else max_dilate
-    if basis is None:
-        basis = lattice_basis(cfg)
-    counts = tuple(count_lattice_points(cfg, basis, m) for m in range(M + 1))
+    counts = tuple(count_lattice_points(cfg, cfg.basis, m) for m in range(M + 1))
     return CountSequence(dimension=d, counts=counts)
 
 
@@ -299,7 +298,7 @@ def hstar_polynomial(cfg, method: str = "semigroup",
     The dilate budget defaults to d+1 (the minimum d plus one vanish check);
     an explicit smaller budget is refused with the required count.
     """
-    d = polytope_dimension(cfg)
+    d = cfg.basis.rank - 1
     needed = d + 1
     M = needed if max_dilate is None else max_dilate
     if M < needed:

@@ -11,8 +11,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EdgeListParseError, VerificationError
+from .lattice import LatticeBasis, lattice_basis
 
 MAX_VERTICES = 24  # 2^(m-1) cut vectors are enumerated; keep this desk-scale
 
@@ -130,11 +132,6 @@ class Partition:
         return _mask_to_set(full & ~self.a_mask)
 
     @property
-    def canonical(self) -> bool:
-        """Instances are always stored in canonical form (vertex 1 on the B side)."""
-        return True
-
-    @property
     def min_size(self) -> int:
         a = self.a_mask.bit_count()
         return min(a, self.vertex_count - a)
@@ -165,22 +162,6 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class CutVector:
-    """0/1 vector indexed by the graph's edges: 1 exactly on edges crossing the cut."""
-
-    coords: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-
-@dataclass(frozen=True)
 class CutConfiguration:
     """Matrix whose columns are the cut vectors with an appended coordinate 1."""
 
@@ -195,16 +176,20 @@ class CutConfiguration:
     def column_count(self) -> int:
         return len(self.columns)
 
+    @cached_property
+    def basis(self) -> LatticeBasis:
+        """Hermite basis of the column lattice, computed once per configuration."""
+        return lattice_basis(self)
 
-def cut_vector(g: Graph, a) -> CutVector:
+
+def cut_vector(g: Graph, a) -> tuple[int, ...]:
     """Cut vector of the bipartition separating subset `a` from its complement.
 
     Coordinate i is 1 iff edge e_i has exactly one endpoint in `a`; the result
     is invariant under replacing `a` by its complement.
     """
     mask = _as_mask(a, g.vertex_count)
-    coords = tuple(1 if (mask & em).bit_count() == 1 else 0 for em in g._edge_masks)
-    return CutVector(coords)
+    return tuple(1 if (mask & em).bit_count() == 1 else 0 for em in g._edge_masks)
 
 
 def all_partitions(vertex_count: int) -> list[Partition]:
@@ -212,7 +197,7 @@ def all_partitions(vertex_count: int) -> list[Partition]:
     return [Partition(vertex_count, m << 1) for m in range(1 << (vertex_count - 1))]
 
 
-def cut_polytope_vertices(g: Graph) -> list[CutVector]:
+def cut_polytope_vertices(g: Graph) -> list[tuple[int, ...]]:
     """The 2^(m-1) distinct cut vectors of g, one per canonical bipartition.
 
     Order is deterministic: ascending canonical-mask order of the side not
@@ -221,7 +206,7 @@ def cut_polytope_vertices(g: Graph) -> list[CutVector]:
     if g.vertex_count < 2:
         raise ValueError("cut polytope needs at least 2 vertices")
     vertices = [cut_vector(g, p.a_mask) for p in all_partitions(g.vertex_count)]
-    distinct = len(set(v.coords for v in vertices))
+    distinct = len(set(vertices))
     if distinct != len(vertices):
         # cannot happen for connected graphs; guards the connectivity invariant
         raise VerificationError("cut vectors of a connected graph collided")
@@ -230,7 +215,7 @@ def cut_polytope_vertices(g: Graph) -> list[CutVector]:
 
 def configuration(g: Graph) -> CutConfiguration:
     """Cut vectors of g as matrix columns with a final all-ones row appended."""
-    cols = tuple(v.coords + (1,) for v in cut_polytope_vertices(g))
+    cols = tuple(v + (1,) for v in cut_polytope_vertices(g))
     return CutConfiguration(columns=cols, graph=g)
 
 

@@ -3,8 +3,8 @@
 The three binomial families are generated explicitly over partition variables
 q_{A|B}, verified lead-over-trail under the reverse lexicographic order, and
 checked to be a Groebner basis via Buchberger's criterion at small n.  Counting
-squarefree standard monomials (by formula and by brute force) yields the
-f-vector of the initial-complex triangulation.
+squarefree standard monomials (by formula and directly over the basis's
+conflict graph) yields the f-vector of the initial-complex triangulation.
 """
 
 from __future__ import annotations
@@ -28,36 +28,17 @@ def default_variable_key(p: Partition):
     return (p.min_size, 0 if p.splits_12 else 1, p.encode())
 
 
-@dataclass(frozen=True)
-class PartitionVariable:
-    """One variable q_{A|B} of K[q], positioned in the fixed variable order."""
-
-    index: int
-    partition: Partition
-
-    @property
-    def min_size(self) -> int:
-        return self.partition.min_size
-
-    @property
-    def pattern(self) -> str:
-        return "1-and-2-split" if self.partition.splits_12 else "12-together"
-
-    def encode(self) -> tuple[int, ...]:
-        return self.partition.encode()
-
-
 class VariableTable:
-    """All 2^(n-1) partition variables of [n], ascending in the monomial order."""
+    """All 2^(n-1) partition variables of [n]: `variables[i]` is the Partition
+    of q_i, ascending in the monomial order."""
 
     def __init__(self, n: int, variable_key=None):
         if n < 2:
             raise ValueError("need at least 2 vertices")
         key = variable_key if variable_key is not None else default_variable_key
-        parts = sorted(all_partitions(n), key=key)
         self.n = n
-        self.variables = tuple(PartitionVariable(i, p) for i, p in enumerate(parts))
-        self._index_by_mask = {v.partition.a_mask: v.index for v in self.variables}
+        self.variables = tuple(sorted(all_partitions(n), key=key))
+        self._index_by_mask = {p.a_mask: i for i, p in enumerate(self.variables)}
 
     def __len__(self):
         return len(self.variables)
@@ -67,9 +48,6 @@ class VariableTable:
         if isinstance(side, Partition):
             return self._index_by_mask[side.a_mask]
         return self._index_by_mask[Partition(self.n, side).a_mask]
-
-    def variable(self, index: int) -> PartitionVariable:
-        return self.variables[index]
 
     def encode(self, index: int) -> tuple[int, ...]:
         return self.variables[index].encode()
@@ -251,27 +229,21 @@ def is_standard(mono: PartitionMonomial, n: int | None = None) -> bool:
         n = mono.n
     elif n != mono.n:
         raise ValueError("ground set mismatch")
-    pairs = lead_pairs(n)
-    support = sorted(set(mono.ids))
-    return all(pair not in pairs for pair in itertools.combinations(support, 2))
+    return _lead_dividing(mono.ids, lead_pairs(n)) is None
+
+
+def _lead_dividing(ids, leads):
+    """First lead pair (i, j), i < j, in ascending order, that divides the
+    monomial with variable ids `ids`; None when the monomial is standard."""
+    for pair in itertools.combinations(sorted(set(ids)), 2):
+        if pair in leads:
+            return pair
+    return None
 
 
 # ---------------------------------------------------------------------------
 # reduction and Buchberger verification
 # ---------------------------------------------------------------------------
-
-def _lead_map(gb) -> dict:
-    return {b.lead.ids: b for b in gb}
-
-
-def _dividing_binomial(mono: PartitionMonomial, lead_map: dict):
-    support = sorted(set(mono.ids))
-    for pair in itertools.combinations(support, 2):
-        b = lead_map.get(pair)
-        if b is not None:
-            return b
-    return None
-
 
 def _rewrite(mono: PartitionMonomial, binom: CutBinomial) -> PartitionMonomial:
     ids = list(mono.ids)
@@ -292,16 +264,16 @@ def reduce(poly, gb) -> dict[PartitionMonomial, int]:
     if isinstance(poly, PartitionMonomial):
         poly = {poly: 1}
     terms = {m: c for m, c in poly.items() if c}
-    lead_map = _lead_map(gb)
+    lead_map = {b.lead.ids: b for b in gb}
     while True:
         best = None
         best_binom = None
         for mono in terms:
-            binom = _dividing_binomial(mono, lead_map)
-            if binom is None:
+            pair = _lead_dividing(mono.ids, lead_map)
+            if pair is None:
                 continue
             if best is None or monomial_order_cmp(mono, best) > 0:
-                best, best_binom = mono, binom
+                best, best_binom = mono, lead_map[pair]
         if best is None:
             return terms
         coeff = terms.pop(best)
@@ -342,7 +314,6 @@ def buchberger_check(n: int) -> tuple[bool, dict]:
     if n > 6:
         raise CostGuardError(f"Buchberger check refused for n = {n} (2^{n-1} variables)")
     gb = generate_gb(n)
-    lead_map = _lead_map(gb)
     skipped = 0
     reduced = 0
     failures = []
@@ -386,32 +357,37 @@ def _conflict_masks(n: int) -> tuple[int, ...]:
     return tuple(bad)
 
 
-def _iter_standard_supports(n: int, allowed: int):
-    """Ascending id tuples of squarefree standard monomials within `allowed`."""
+def _standard_pool(n: int, variable_class: str) -> int:
+    """Bitmask of the variables in `variable_class`: 'all', '12-together'
+    (type 1) or '1-and-2-split' (type 2).  Holds the n <= 8 cost guard shared
+    by every squarefree enumerator and counter."""
+    if n < 4:
+        raise ValueError("need n >= 4")
+    if n > 8:
+        raise CostGuardError(f"enumeration refused for n = {n} (2^{n-1} variables)")
+    keep = {"all": (False, True), "12-together": (False,), "1-and-2-split": (True,)}[variable_class]
+    return sum(1 << i for i, p in enumerate(variable_table(n).variables) if p.splits_12 in keep)
+
+
+def _standard_supports(n: int, pool: int, degree: int | None = None):
+    """Ascending id tuples of squarefree standard monomials within `pool`, of
+    every degree, or only of `degree` (the walk stops descending there)."""
     bad = _conflict_masks(n)
 
-    def rec(chosen, pool):
-        yield chosen
-        a = pool
+    def rec(chosen, allowed):
+        if len(chosen) == degree:
+            yield chosen
+            return
+        if degree is None:
+            yield chosen
+        a = allowed
         while a:
             low = a & -a
             j = low.bit_length() - 1
             a ^= low
             yield from rec(chosen + (j,), a & ~bad[j])
 
-    yield from rec((), allowed)
-
-
-def _class_masks(n: int) -> tuple[int, int]:
-    """(together-class variable mask, split-class variable mask)."""
-    table = variable_table(n)
-    together = split = 0
-    for v in table.variables:
-        if v.partition.splits_12:
-            split |= 1 << v.index
-        else:
-            together |= 1 << v.index
-    return together, split
+    yield from rec((), pool)
 
 
 def pattern_split(mono: PartitionMonomial) -> tuple[list[frozenset], list[frozenset]]:
@@ -425,7 +401,7 @@ def pattern_split(mono: PartitionMonomial) -> tuple[list[frozenset], list[frozen
     together = []
     split = []
     for i in mono.ids:
-        p = table.variable(i).partition
+        p = table.variables[i]
         if p.splits_12:
             split.append(rest - (p.a_side - {2}))
         else:
@@ -462,17 +438,11 @@ def enumerate_squarefree_standard(n: int, k: int) -> list[PartitionMonomial]:
     mismatch would mean the generated basis and the chain description diverge
     and raises.
     """
-    if n < 4:
-        raise ValueError("need n >= 4")
-    if n > 8:
-        raise CostGuardError(f"enumeration refused for n = {n} (2^{n-1} variables)")
+    pool = _standard_pool(n, "all")
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    full = (1 << len(variable_table(n))) - 1
     out = []
-    for ids in _iter_standard_supports(n, full):
-        if len(ids) != k:
-            continue
+    for ids in _standard_supports(n, pool, k):
         mono = PartitionMonomial(n, ids)
         if not chain_characterization_holds(mono):
             raise VerificationError(f"chain characterization failed for {ids}")
@@ -483,45 +453,37 @@ def enumerate_squarefree_standard(n: int, k: int) -> list[PartitionMonomial]:
 def iter_squarefree_standard(n: int, variable_class: str = "all"):
     """Yield every squarefree standard monomial of every degree, optionally
     restricted to one variable class ('12-together' or '1-and-2-split')."""
-    if n < 4:
-        raise ValueError("need n >= 4")
-    if n > 8:
-        raise CostGuardError(f"enumeration refused for n = {n} (2^{n-1} variables)")
-    together, split = _class_masks(n)
-    pool = {"all": together | split, "12-together": together, "1-and-2-split": split}[variable_class]
-    for ids in _iter_standard_supports(n, pool):
+    pool = _standard_pool(n, variable_class)
+    for ids in _standard_supports(n, pool):
         yield PartitionMonomial(n, ids)
 
 
 def squarefree_standard_counts(n: int, variable_class: str = "all") -> list[int]:
-    """Brute-force counts of squarefree standard monomials by degree.
+    """Counts of squarefree standard monomials by degree, taken directly over
+    the basis's conflict graph as counts of its independent sets.
 
     variable_class restricts the support: 'all', '12-together' (type 1), or
-    '1-and-2-split' (type 2).  Counting walks the conflict graph directly and
-    never consults the chain formulas.
+    '1-and-2-split' (type 2).  The chain formulas are never consulted.
     """
-    if n < 4:
-        raise ValueError("need n >= 4")
-    if n > 8:
-        raise CostGuardError(f"enumeration refused for n = {n} (2^{n-1} variables)")
-    together, split = _class_masks(n)
-    pool = {"all": together | split, "12-together": together, "1-and-2-split": split}[variable_class]
+    pool = _standard_pool(n, variable_class)
     bad = _conflict_masks(n)
-    counts = [0] * (len(variable_table(n)) + 1)
+    memo = {0: (1,)}
 
-    def rec(size, allowed):
-        counts[size] += 1
-        a = allowed
-        while a:
-            low = a & -a
-            j = low.bit_length() - 1
-            a ^= low
-            rec(size + 1, a & ~bad[j])
+    def count(mask):
+        # a set within `mask` either omits its lowest variable j, or holds j
+        # and avoids bad[j]
+        if mask not in memo:
+            low = mask & -mask
+            rest = mask ^ low
+            without = count(rest)
+            with_j = count(rest & ~bad[low.bit_length() - 1])
+            out = list(without) + [0] * (len(with_j) + 1 - len(without))
+            for size, c in enumerate(with_j, start=1):
+                out[size] += c
+            memo[mask] = tuple(out)
+        return memo[mask]
 
-    rec(0, pool)
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return counts
+    return list(count(pool))
 
 
 def count_type1(n: int, k: int) -> int:
@@ -584,8 +546,7 @@ def count_standard_by_degree(n: int, m: int) -> int:
     pairs = lead_pairs(n)
     count = 0
     for combo in itertools.combinations_with_replacement(range(len(variable_table(n))), m):
-        support = sorted(set(combo))
-        if all(pair not in pairs for pair in itertools.combinations(support, 2)):
+        if _lead_dividing(combo, pairs) is None:
             count += 1
     return count
 

@@ -136,10 +136,6 @@ def lattice_basis(cfg_or_columns) -> LatticeBasis:
     )
 
 
-def lattice_contains(basis: LatticeBasis, v) -> bool:
-    return basis.contains(v)
-
-
 def polytope_dimension(cfg_or_columns) -> int:
     """Dimension of the convex hull of the configuration's columns.
 

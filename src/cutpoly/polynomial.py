@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from functools import lru_cache
 
 from .errors import CostGuardError
 
@@ -192,8 +193,11 @@ def stirling2(n: int, k: int) -> int:
     return quotient
 
 
+@lru_cache(maxsize=None)
 def eulerian(n: int) -> IntPolynomial:
-    """Eulerian polynomial A_n(x) = sum_k k! S(n,k) (x-1)^(n-k); degree n-1."""
+    """Eulerian polynomial A_n(x) = sum_k k! S(n,k) (x-1)^(n-k); degree n-1.
+
+    Cached: the closed form and a report of its factor A_n share one computation."""
     if n < 1:
         raise ValueError("eulerian(n) needs n >= 1")
     x_minus_1 = IntPolynomial((-1, 1))

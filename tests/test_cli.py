@@ -107,9 +107,15 @@ class TestHstar:
 
     def test_from_counts_malformed_file(self, capsys, tmp_path):
         counts_file = tmp_path / "bad.json"
-        counts_file.write_text('{"counts": [1, 2]}')
-        code, _, err = run_cli(capsys, "hstar", "--from-counts", str(counts_file))
-        assert code == EXIT_PARSE
+        k23 = "1, 16, 117, 544, 1885, 5328, 12985"
+        for text in ('{"counts": [1, 2]}',
+                     '{"dimension": 6, "counts": [%s, 28288.9]}' % k23,
+                     '{"dimension": 6.7, "counts": [%s, 28288]}' % k23,
+                     '{"dimension": 1, "counts": [true, 2, 3]}',
+                     '{"dimension": 1, "counts": ["1", 2, 3]}'):
+            counts_file.write_text(text)
+            code, _, err = run_cli(capsys, "hstar", "--from-counts", str(counts_file))
+            assert code == EXIT_PARSE, text
 
 
 class TestClosedForm:

@@ -98,7 +98,6 @@ class TestPartition:
         assert p == q
         assert p.a_side == frozenset({2, 4, 5})
         assert 1 in p.b_side
-        assert p.canonical
 
     def test_min_size_and_pattern(self):
         assert Partition(5, set()).min_size == 0

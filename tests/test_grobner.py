@@ -97,7 +97,8 @@ class TestVariableOrder:
 
     def test_split_precedes_together_within_min_size(self):
         table = variable_table(5)
-        by_class = [(v.min_size, v.pattern) for v in table.variables]
+        by_class = [(v.min_size, "1-and-2-split" if v.splits_12 else "12-together")
+                    for v in table.variables]
         for size in (1, 2):
             patterns = [p for s, p in by_class if s == size]
             boundary = patterns.index("12-together")
@@ -274,13 +275,14 @@ class TestStandardMonomials:
     def test_enumeration_matches_is_standard(self):
         n = 4
         table = variable_table(n)
-        for k in (2, 3):
+        for k in range(2 * n - 1):
             via_enum = {m.ids for m in enumerate_squarefree_standard(n, k)}
             via_filter = {
                 ids for ids in itertools.combinations(range(len(table)), k)
                 if is_standard(PartitionMonomial(n, ids))
             }
-            assert via_enum == via_filter
+            assert via_enum == via_filter, k
+        assert enumerate_squarefree_standard(n, 2 * n - 2) == []
 
     def test_chain_characterization_agrees_with_divisibility(self):
         table = variable_table(5)
@@ -354,7 +356,7 @@ class TestFVector:
         assert f_vector(4)[1] == 8
 
     def test_matches_enumeration(self):
-        for n in range(4, 8):
+        for n in range(4, 9):
             assert f_vector(n) == squarefree_standard_counts(n), n
 
     def test_top_degree(self):
@@ -364,8 +366,12 @@ class TestFVector:
             assert f[-1] > 0  # faces of top degree 2n-3 exist
 
     def test_total_face_count_two_routes(self):
-        # sum over k of per-degree counts equals the enumerated total
-        for n in (4, 5):
+        # per degree and per variable class, the plain walk tallies the counts
+        for n in (4, 5, 6):
+            for cls in ("all", "12-together", "1-and-2-split"):
+                by_degree = Counter(m.degree for m in iter_squarefree_standard(n, cls))
+                walked = [by_degree[k] for k in range(max(by_degree) + 1)]
+                assert walked == squarefree_standard_counts(n, cls), (n, cls)
             assert sum(f_vector(n)) == sum(1 for _ in iter_squarefree_standard(n))
 
     def test_h_polynomial_equals_closed_form(self):

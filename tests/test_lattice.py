@@ -10,7 +10,6 @@ from cutpoly.lattice import (
     format_matrix_text,
     hnf_columns,
     lattice_basis,
-    lattice_contains,
     matrix_from_json,
     matrix_to_json,
     parse_matrix_text,
@@ -85,7 +84,7 @@ class TestMembership:
     def test_k2_difference(self, k2_config):
         basis = lattice_basis(k2_config)
         # (1,1) - (0,1) = (1,0)
-        assert lattice_contains(basis, (1, 0))
+        assert basis.contains((1, 0))
 
     def test_every_column_round_trips(self, k23_config, c4_config):
         for cfg in (k23_config, c4_config):
