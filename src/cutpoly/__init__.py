@@ -23,7 +23,6 @@ from .lattice import LatticeBasis, lattice_basis, polytope_dimension
 from .ehrhart import (
     CountSequence,
     count_lattice_points,
-    count_semigroup,
     ehrhart_from_hstar,
     hstar_from_counts,
     hstar_polynomial,

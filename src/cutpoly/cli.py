@@ -201,7 +201,7 @@ def cmd_gb(args) -> RunReport:
     if args.action == "list":
         basis = grobner.generate_gb(n)
         data["binomial_count"] = len(basis)
-        data["binomials"] = json.loads(grobner.gb_to_json(basis))
+        data["binomials"] = grobner.basis_payload(basis)
         data["binomial_text"] = [grobner.format_binomial(b) for b in basis]
         return RunReport(command="gb", data=data)
     if args.action == "verify":

@@ -74,13 +74,6 @@ def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
     return sizes
 
 
-def count_semigroup(cfg, m: int) -> int:
-    """Number of distinct sums of exactly m configuration columns (with repetition)."""
-    if m < 0:
-        raise ValueError("dilate must be nonnegative")
-    return _semigroup_layer_sizes(cfg.columns, m)[m]
-
-
 def semigroup_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     """One sumset sweep giving all counts for m = 0..max_dilate (default d+1)."""
     d = cfg.basis.rank - 1
@@ -170,7 +163,10 @@ def membership_in_dilate(point, cfg, m: int) -> bool:
     the configuration already encodes the combination-weight constraint).
     """
     columns = cfg.columns
-    point = tuple(int(x) for x in point)
+    point = tuple(point)
+    for x in point:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"coordinates must be integers, got {x!r}")
     if len(point) != len(columns[0]):
         raise ValueError(f"point length {len(point)} != configuration row count {len(columns[0])}")
     if m < 0:
@@ -185,36 +181,24 @@ class _DilatePruner:
 
     Every cut vector meets a cycle in an even edge set, so for any cycle C and
     odd F within it, z(F) - z(C minus F) <= (|F| - 1) * m holds on the whole
-    dilate.  Violations are rejected before the simplex runs; survivors still
-    go to the exact test.
+    dilate.  For each odd |F| the tightest F holds the |F| largest coordinates
+    of the cycle, so one descending sort per fundamental cycle tests them all.
+    Violations are rejected before the simplex runs; survivors still go to the
+    exact test.
     """
 
     def __init__(self, g):
-        self._quads = []
-        self._general = []
-        for cyc in fundamental_cycles(g):
-            if len(cyc) == 4:
-                self._quads.append(tuple(cyc))
-            elif len(cyc) <= 12:
-                k = len(cyc)
-                subsets = [(F, size - 1)
-                           for size in range(1, k + 1, 2)
-                           for F in itertools.combinations(range(k), size)]
-                self._general.append((tuple(cyc), subsets))
+        self._cycles = fundamental_cycles(g)
 
     def admits(self, z, m: int) -> bool:
-        for a, b, c, d in self._quads:
-            za, zb, zc, zd = z[a], z[b], z[c], z[d]
-            s = za + zb + zc + zd
-            if 2 * max(za, zb, zc, zd) > s:
-                return False
-            if s - 2 * min(za, zb, zc, zd) > 2 * m:
-                return False
-        for idx, subsets in self._general:
-            vals = [z[i] for i in idx]
+        for cyc in self._cycles:
+            vals = sorted((z[i] for i in cyc), reverse=True)
             s = sum(vals)
-            for F, bound in subsets:
-                if 2 * sum(vals[i] for i in F) - s > bound * m:
+            twice_top = 0
+            for f, v in enumerate(vals):
+                # F is the f+1 largest coordinates; only odd |F| gives a bound
+                twice_top += 2 * v
+                if not f & 1 and twice_top - s > f * m:
                     return False
         return True
 
@@ -230,12 +214,11 @@ def count_lattice_points(cfg, basis: LatticeBasis, m: int) -> int:
         raise ValueError("dilate must be nonnegative")
     columns = cfg.columns
     r = len(columns[0]) - 1
-    graph = getattr(cfg, "graph", None)
-    pruner = _DilatePruner(graph) if graph is not None else None
+    pruner = _DilatePruner(cfg.graph)
     contains = basis.contains
     total = 0
     for prefix in itertools.product(range(m + 1), repeat=r):
-        if pruner is not None and not pruner.admits(prefix, m):
+        if not pruner.admits(prefix, m):
             continue
         z = prefix + (m,)
         if not contains(z):

@@ -7,9 +7,6 @@ fixes the coordinate order of every cut vector.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -306,7 +303,7 @@ def fundamental_cycles(g: Graph) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# plain-text / CSV / JSON interchange
+# edge-list input
 # ---------------------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
@@ -343,30 +340,7 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(lineno, str(exc)) from None
 
 
-def format_edge_list(g: Graph) -> str:
-    lines = [str(g.vertex_count)]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def read_edge_list(path_) -> Graph:
     with open(path_, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
 
-
-def write_edge_list(g: Graph, path_) -> None:
-    with open(path_, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g))
-
-
-def vertices_to_csv(vectors) -> str:
-    """One cut vector per CSV row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for v in vectors:
-        writer.writerow(list(v))
-    return buf.getvalue()
-
-
-def vertices_to_json(vectors) -> str:
-    return json.dumps([list(v) for v in vectors])

@@ -9,10 +9,7 @@ conflict graph) yields the f-vector of the initial-complex triangulation.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,22 +19,20 @@ from .graph import Partition, all_partitions
 from .polynomial import stirling2
 
 
-def default_variable_key(p: Partition):
-    """Ascending variable order: by min side size, then split-pattern before
-    12-together, then lexicographic encoding of the side not containing vertex 1."""
-    return (p.min_size, 0 if p.splits_12 else 1, p.encode())
-
-
 class VariableTable:
     """All 2^(n-1) partition variables of [n]: `variables[i]` is the Partition
-    of q_i, ascending in the monomial order."""
+    of q_i, ascending in the monomial order.
 
-    def __init__(self, n: int, variable_key=None):
+    The order ascends by min side size, then puts split-pattern before
+    12-together, then compares the encoding of the side not containing vertex 1.
+    """
+
+    def __init__(self, n: int):
         if n < 2:
             raise ValueError("need at least 2 vertices")
-        key = variable_key if variable_key is not None else default_variable_key
         self.n = n
-        self.variables = tuple(sorted(all_partitions(n), key=key))
+        self.variables = tuple(sorted(
+            all_partitions(n), key=lambda p: (p.min_size, not p.splits_12, p.encode())))
         self._index_by_mask = {p.a_mask: i for i, p in enumerate(self.variables)}
 
     def __len__(self):
@@ -76,18 +71,6 @@ class PartitionMonomial:
     @property
     def squarefree(self) -> bool:
         return len(set(self.ids)) == len(self.ids)
-
-    @property
-    def exponents(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i in self.ids:
-            out[i] = out.get(i, 0) + 1
-        return out
-
-    def __mul__(self, other: "PartitionMonomial") -> "PartitionMonomial":
-        if self.n != other.n:
-            raise ValueError("mixed ground sets")
-        return PartitionMonomial(self.n, tuple(sorted(self.ids + other.ids)))
 
 
 def monomial(n: int, sides) -> PartitionMonomial:
@@ -357,10 +340,17 @@ def _conflict_masks(n: int) -> tuple[int, ...]:
     return tuple(bad)
 
 
+# Most supports one squarefree walk may visit.  The plain walk takes about
+# 3 us a support (Python 3.11 on a 2-vCPU VM), so this is about 12 s; it admits
+# every walk at n <= 7 and, at n = 8, the walks up to degree 4.
+SQUAREFREE_WALK_LIMIT = 4_000_000
+
+
 def _standard_pool(n: int, variable_class: str) -> int:
     """Bitmask of the variables in `variable_class`: 'all', '12-together'
-    (type 1) or '1-and-2-split' (type 2).  Holds the n <= 8 cost guard shared
-    by every squarefree enumerator and counter."""
+    (type 1) or '1-and-2-split' (type 2).  Holds the hard n <= 8 cap shared
+    by every squarefree enumerator and counter: the counts that estimate a
+    walk are themselves affordable only up to n = 8."""
     if n < 4:
         raise ValueError("need n >= 4")
     if n > 8:
@@ -369,9 +359,43 @@ def _standard_pool(n: int, variable_class: str) -> int:
     return sum(1 << i for i, p in enumerate(variable_table(n).variables) if p.splits_12 in keep)
 
 
-def _standard_supports(n: int, pool: int, degree: int | None = None):
-    """Ascending id tuples of squarefree standard monomials within `pool`, of
-    every degree, or only of `degree` (the walk stops descending there)."""
+@lru_cache(maxsize=None)
+def _independent_set_counts(n: int, pool: int) -> tuple[int, ...]:
+    """Independent sets of the conflict graph within `pool`, by size."""
+    bad = _conflict_masks(n)
+    memo = {0: (1,)}
+
+    def count(mask):
+        # a set within `mask` either omits its lowest variable j, or holds j
+        # and avoids bad[j]
+        if mask not in memo:
+            low = mask & -mask
+            rest = mask ^ low
+            without = count(rest)
+            with_j = count(rest & ~bad[low.bit_length() - 1])
+            out = list(without) + [0] * (len(with_j) + 1 - len(without))
+            for size, c in enumerate(with_j, start=1):
+                out[size] += c
+            memo[mask] = tuple(out)
+        return memo[mask]
+
+    return count(pool)
+
+
+def _standard_supports(n: int, variable_class: str, degree: int | None = None):
+    """Ascending id tuples of squarefree standard monomials within
+    `variable_class`, of every degree, or only of `degree` (the walk stops
+    descending there).
+
+    The walk visits every support of degree up to `degree`; that number is
+    read from the counts before the first step and refused above
+    SQUAREFREE_WALK_LIMIT."""
+    pool = _standard_pool(n, variable_class)
+    counts = _independent_set_counts(n, pool)
+    visits = sum(counts if degree is None else counts[:degree + 1])
+    if visits > SQUAREFREE_WALK_LIMIT:
+        raise CostGuardError(f"squarefree walk refused for n = {n}: {visits} supports "
+                             f"estimated, limit {SQUAREFREE_WALK_LIMIT}")
     bad = _conflict_masks(n)
 
     def rec(chosen, allowed):
@@ -438,11 +462,10 @@ def enumerate_squarefree_standard(n: int, k: int) -> list[PartitionMonomial]:
     mismatch would mean the generated basis and the chain description diverge
     and raises.
     """
-    pool = _standard_pool(n, "all")
     if k < 0:
         raise ValueError("degree must be nonnegative")
     out = []
-    for ids in _standard_supports(n, pool, k):
+    for ids in _standard_supports(n, "all", k):
         mono = PartitionMonomial(n, ids)
         if not chain_characterization_holds(mono):
             raise VerificationError(f"chain characterization failed for {ids}")
@@ -453,8 +476,7 @@ def enumerate_squarefree_standard(n: int, k: int) -> list[PartitionMonomial]:
 def iter_squarefree_standard(n: int, variable_class: str = "all"):
     """Yield every squarefree standard monomial of every degree, optionally
     restricted to one variable class ('12-together' or '1-and-2-split')."""
-    pool = _standard_pool(n, variable_class)
-    for ids in _standard_supports(n, pool):
+    for ids in _standard_supports(n, variable_class):
         yield PartitionMonomial(n, ids)
 
 
@@ -465,25 +487,7 @@ def squarefree_standard_counts(n: int, variable_class: str = "all") -> list[int]
     variable_class restricts the support: 'all', '12-together' (type 1), or
     '1-and-2-split' (type 2).  The chain formulas are never consulted.
     """
-    pool = _standard_pool(n, variable_class)
-    bad = _conflict_masks(n)
-    memo = {0: (1,)}
-
-    def count(mask):
-        # a set within `mask` either omits its lowest variable j, or holds j
-        # and avoids bad[j]
-        if mask not in memo:
-            low = mask & -mask
-            rest = mask ^ low
-            without = count(rest)
-            with_j = count(rest & ~bad[low.bit_length() - 1])
-            out = list(without) + [0] * (len(with_j) + 1 - len(without))
-            for size, c in enumerate(with_j, start=1):
-                out[size] += c
-            memo[mask] = tuple(out)
-        return memo[mask]
-
-    return list(count(pool))
+    return list(_independent_set_counts(n, _standard_pool(n, variable_class)))
 
 
 def count_type1(n: int, k: int) -> int:
@@ -566,11 +570,13 @@ def format_binomial(b: CutBinomial) -> str:
     return f"{lead} - {trail}"
 
 
-def gb_to_json(binomials) -> str:
+def basis_payload(binomials) -> list[dict]:
+    """One {family, lead, trail} dict per binomial, each variable encoded as the
+    sorted side not containing vertex 1; the `gb N list` report's basis."""
     if not binomials:
-        return json.dumps([])
+        return []
     table = variable_table(binomials[0].lead.n)
-    payload = [
+    return [
         {
             "family": b.family,
             "lead": [list(table.encode(i)) for i in b.lead.ids],
@@ -578,16 +584,4 @@ def gb_to_json(binomials) -> str:
         }
         for b in binomials
     ]
-    return json.dumps(payload, indent=2)
 
-
-def standard_monomials_to_csv(monomials) -> str:
-    """CSV rows: degree, then one cell per factor (space-joined side vertices)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for mono in monomials:
-        table = variable_table(mono.n)
-        cells = [str(mono.degree)]
-        cells.extend(" ".join(map(str, table.encode(i))) for i in mono.ids)
-        writer.writerow(cells)
-    return buf.getvalue()

@@ -1,7 +1,7 @@
 """Exact integer linear algebra over column lattices.
 
 A lattice is represented by a basis in column Hermite normal form.  The
-convention used everywhere (and embedded in exports) is:
+convention used everywhere is:
 
     column echelon: the pivot row of each basis column strictly increases
     left to right; every pivot entry is positive; in each pivot row, entries
@@ -12,13 +12,7 @@ All arithmetic is exact over Python integers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-
-HNF_CONVENTION = (
-    "column echelon; pivot rows strictly increase; pivots positive; "
-    "entries left of each pivot reduced modulo the pivot"
-)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -144,58 +138,3 @@ def polytope_dimension(cfg_or_columns) -> int:
     """
     return lattice_basis(cfg_or_columns).rank - 1
 
-
-# ---------------------------------------------------------------------------
-# matrix and basis interchange
-# ---------------------------------------------------------------------------
-
-def format_matrix_text(columns) -> str:
-    """Whitespace-separated rows of the matrix whose columns are given."""
-    columns = [list(c) for c in columns]
-    rows = list(zip(*columns))
-    width = max((len(str(x)) for row in rows for x in row), default=1)
-    return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in rows) + "\n"
-
-
-def parse_matrix_text(text: str) -> list[list[int]]:
-    """Parse whitespace-separated integer rows; returns the matrix as columns."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        rows.append([int(tok) for tok in line.split()])
-    if not rows:
-        raise ValueError("empty matrix text")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix text")
-    return [list(col) for col in zip(*rows)]
-
-
-def matrix_to_json(columns) -> str:
-    return json.dumps([list(c) for c in columns])
-
-
-def matrix_from_json(text: str) -> list[list[int]]:
-    cols = json.loads(text)
-    return [list(map(int, c)) for c in cols]
-
-
-def basis_to_json(basis: LatticeBasis) -> str:
-    return json.dumps(
-        {
-            "hnf_convention": HNF_CONVENTION,
-            "rank": basis.rank,
-            "pivot_rows": list(basis.pivot_rows),
-            "columns": [list(c) for c in basis.basis_columns],
-        },
-        indent=2,
-    )
-
-
-def basis_from_json(text: str) -> LatticeBasis:
-    data = json.loads(text)
-    return LatticeBasis(
-        basis_columns=tuple(tuple(map(int, c)) for c in data["columns"]),
-        pivot_rows=tuple(int(p) for p in data["pivot_rows"]),
-    )

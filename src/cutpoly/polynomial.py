@@ -9,7 +9,6 @@ f-polynomial to h-polynomial transform, and the closed-form h*-polynomial
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from functools import lru_cache
 
@@ -31,16 +30,8 @@ class IntPolynomial:
         raise AttributeError("IntPolynomial is immutable")
 
     @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "IntPolynomial":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "IntPolynomial":
-        return cls((0, 1))
 
     @property
     def degree(self) -> int:
@@ -158,15 +149,6 @@ def format_polynomial(p: IntPolynomial) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
-
-
-def poly_to_json(p: IntPolynomial) -> str:
-    """JSON coefficient array, constant term first."""
-    return json.dumps(list(p.coeffs))
-
-
-def poly_from_json(text: str) -> IntPolynomial:
-    return IntPolynomial([int(c) for c in json.loads(text)])
 
 
 # ---------------------------------------------------------------------------

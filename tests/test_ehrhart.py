@@ -6,7 +6,6 @@ from cutpoly.errors import CostGuardError, VerificationError
 from cutpoly.ehrhart import (
     CountSequence,
     count_lattice_points,
-    count_semigroup,
     ehrhart_from_hstar,
     hstar_from_counts,
     hstar_polynomial,
@@ -14,7 +13,7 @@ from cutpoly.ehrhart import (
     membership_in_dilate,
     semigroup_counts,
 )
-from cutpoly.graph import complete_bipartite, configuration, cycle, path
+from cutpoly.graph import Graph, complete_bipartite, configuration, cycle, path
 from cutpoly.lattice import lattice_basis
 from cutpoly.polynomial import (
     IntPolynomial,
@@ -40,20 +39,20 @@ class TestCountSequence:
 
 
 class TestSemigroupCounts:
-    def test_dilate_zero_is_one(self, k23_config, c4_config):
-        assert count_semigroup(k23_config, 0) == 1
-        assert count_semigroup(c4_config, 0) == 1
+    def test_dilate_zero_is_one(self, k23_counts, c4_config):
+        assert k23_counts.counts[0] == 1
+        assert semigroup_counts(c4_config).counts[0] == 1
 
     def test_k2_by_hand(self, k2_config):
         # sums of two columns of ((0,1),(1,1)): (0,2),(1,2),(2,2)
-        assert count_semigroup(k2_config, 2) == 3
+        assert semigroup_counts(k2_config, 2).counts[2] == 3
 
-    def test_k23_dilate_one_counts_vertices(self, k23_config):
-        assert count_semigroup(k23_config, 1) == 16
+    def test_k23_dilate_one_counts_vertices(self, k23_counts):
+        assert k23_counts.counts[1] == 16
 
     def test_rejects_negative(self, k2_config):
         with pytest.raises(ValueError):
-            count_semigroup(k2_config, -1)
+            semigroup_counts(k2_config, -1)
 
     def test_unit_cube_counts(self):
         # trees give unit cubes: i(P,m) = (m+1)^edges
@@ -103,6 +102,11 @@ class TestMembershipInDilate:
             membership_in_dilate((0, 0, 0, 0, 2), c4_config, 1)
         with pytest.raises(ValueError):
             membership_in_dilate((0, 0, 0, 0, -1), c4_config, -1)
+        # coordinates are exact integers: no truncation, no bool
+        with pytest.raises(ValueError):
+            membership_in_dilate((0.9, 0, 0, 0, 1), c4_config, 1)
+        with pytest.raises(ValueError):
+            membership_in_dilate((True, True, 0, 0, 1), c4_config, 1)
 
     def test_simplex_against_fraction_oracle(self, c4_config, k23_config):
         from cutpoly.ehrhart import _nonneg_combination_exists
@@ -132,13 +136,16 @@ class TestLatticePointCounts:
 
     def test_c4_dilate_two_matches_semigroup(self, c4_config):
         basis = lattice_basis(c4_config)
-        assert count_lattice_points(c4_config, basis, 2) == count_semigroup(c4_config, 2)
+        assert count_lattice_points(c4_config, basis, 2) == \
+            semigroup_counts(c4_config).counts[2]
 
     def test_pruner_only_rejects_infeasible_points(self, k23_config):
         # every point the cycle-inequality pruner drops must fail the exact test
         import itertools
         from cutpoly.ehrhart import _DilatePruner, _nonneg_combination_exists
-        cases = [configuration(cycle(4)), configuration(cycle(5)), k23_config]
+        k4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+        cases = [configuration(cycle(4)), configuration(cycle(5)), configuration(cycle(6)),
+                 k23_config, configuration(k4)]
         for cfg in cases:
             pruner = _DilatePruner(cfg.graph)
             r = cfg.row_count - 1

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -13,15 +12,11 @@ from cutpoly.graph import (
     cut_polytope_vertices,
     cut_vector,
     cycle,
-    format_edge_list,
     fundamental_cycles,
     parse_edge_list,
     path,
     read_edge_list,
     tree_from_edges,
-    vertices_to_csv,
-    vertices_to_json,
-    write_edge_list,
 )
 
 # the eight cut vectors of the 4-cycle with edges {1,2},{2,3},{3,4},{1,4}
@@ -206,12 +201,11 @@ class TestFundamentalCycles:
 
 class TestEdgeListFormat:
     def test_round_trip(self, tmp_path):
-        g = complete_bipartite(2, 3)
-        text = format_edge_list(g)
-        assert parse_edge_list(text) == g
+        text = "5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n"
+        assert parse_edge_list(text) == complete_bipartite(2, 3)
         target = tmp_path / "k23.txt"
-        write_edge_list(g, target)
-        assert read_edge_list(target) == g
+        target.write_text(text, encoding="utf-8")
+        assert read_edge_list(target) == complete_bipartite(2, 3)
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(EdgeListParseError) as exc:
@@ -222,8 +216,3 @@ class TestEdgeListFormat:
         assert exc.value.line_number == 2
         with pytest.raises(EdgeListParseError):
             parse_edge_list("")
-
-    def test_exports(self):
-        vertices = cut_polytope_vertices(path(1))
-        assert vertices_to_csv(vertices).splitlines() == ["0", "1"]
-        assert json.loads(vertices_to_json(vertices)) == [[0], [1]]

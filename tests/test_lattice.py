@@ -4,15 +4,8 @@ import pytest
 
 from cutpoly.graph import configuration, path
 from cutpoly.lattice import (
-    HNF_CONVENTION,
-    basis_from_json,
-    basis_to_json,
-    format_matrix_text,
     hnf_columns,
     lattice_basis,
-    matrix_from_json,
-    matrix_to_json,
-    parse_matrix_text,
     polytope_dimension,
 )
 
@@ -127,16 +120,3 @@ class TestPolytopeDimension:
         for e in (1, 2, 3, 4):
             assert polytope_dimension(configuration(path(e))) == e
 
-
-class TestInterchange:
-    def test_matrix_text_round_trip(self, c4_config):
-        text = format_matrix_text(c4_config.columns)
-        assert parse_matrix_text(text) == [list(c) for c in c4_config.columns]
-
-    def test_matrix_json_round_trip(self, k2_config):
-        assert matrix_from_json(matrix_to_json(k2_config.columns)) == [[0, 1], [1, 1]]
-
-    def test_basis_json_carries_convention(self, k23_basis):
-        text = basis_to_json(k23_basis)
-        assert HNF_CONVENTION in text
-        assert basis_from_json(text) == k23_basis

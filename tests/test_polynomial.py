@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -14,8 +13,6 @@ from cutpoly.polynomial import (
     hstar_closed_form_k2m,
     is_palindromic,
     is_unimodal,
-    poly_from_json,
-    poly_to_json,
     stirling2,
 )
 
@@ -59,11 +56,6 @@ class TestArithmetic:
             "x^5 + 9x^4 + 26x^3 + 26x^2 + 9x + 1"
         assert format_polynomial(IntPolynomial([])) == "0"
         assert format_polynomial(IntPolynomial([-1, 0, 2])) == "2x^2 - 1"
-
-    def test_json_round_trip(self):
-        p = IntPolynomial([1, 9, 26, 26, 9, 1])
-        assert poly_from_json(poly_to_json(p)) == p
-        assert json.loads(poly_to_json(p))[0] == 1  # constant term first
 
 
 class TestStirling:
