@@ -19,6 +19,7 @@ from . import ehrhart, grobner
 from .errors import CostGuardError, EdgeListParseError, VerificationError
 from .graph import (
     Graph,
+    ascii_int,
     complete_bipartite,
     configuration,
     cut_polytope_vertices,
@@ -243,9 +244,9 @@ def cmd_gb(args) -> RunReport:
 
 
 def _add_graph_flags(parser):
-    parser.add_argument("--cycle", type=int, metavar="N", help="cycle on N vertices")
-    parser.add_argument("--path", type=int, metavar="E", help="path with E edges")
-    parser.add_argument("--kbipartite", type=int, nargs=2, metavar=("P", "Q"),
+    parser.add_argument("--cycle", type=ascii_int, metavar="N", help="cycle on N vertices")
+    parser.add_argument("--path", type=ascii_int, metavar="E", help="path with E edges")
+    parser.add_argument("--kbipartite", type=ascii_int, nargs=2, metavar=("P", "Q"),
                         help="complete bipartite graph K_{P,Q}")
     parser.add_argument("--edge-list", metavar="FILE",
                         help="plain edge-list file: first line m, then 'u v' lines")
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_hstar)
     p_hstar.add_argument("--method", choices=("semigroup", "lp", "both"),
                          default="semigroup")
-    p_hstar.add_argument("--max-dilate", type=int, default=None,
+    p_hstar.add_argument("--max-dilate", type=ascii_int, default=None,
                          help="dilate budget (default: dimension + 1)")
     p_hstar.add_argument("--counts-out", metavar="FILE", default=None,
                          help="write the dilate-count sequence as JSON to FILE")
@@ -291,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_closed = sub.add_parser("closed-form",
                               help="closed-form h* of the cut polytope of K_{2,n-2}")
-    p_closed.add_argument("n", type=int)
+    p_closed.add_argument("n", type=ascii_int)
     _add_output_flags(p_closed)
     p_closed.set_defaults(handler=cmd_closed_form)
 
     p_gb = sub.add_parser("gb", help="cut-ideal basis: list, verify, fvector, compare")
-    p_gb.add_argument("n", type=int)
+    p_gb.add_argument("n", type=ascii_int)
     p_gb.add_argument("action", choices=("list", "verify", "fvector", "compare"))
     _add_output_flags(p_gb)
     p_gb.set_defaults(handler=cmd_gb)

@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from operator import add
 
 from .errors import CostGuardError, VerificationError
 from .graph import fundamental_cycles
@@ -64,18 +63,58 @@ class CountSequence:
 # route one: semigroup sums
 # ---------------------------------------------------------------------------
 
+# Sums the new-points sweep may form over all layers before it is refused;
+# K_{2,4} at its default budget (dilate 9) forms about 42.6M.
+SEMIGROUP_SUM_LIMIT = 100_000_000
+
+
+def _packed_steps(columns, max_dilate: int) -> list[int]:
+    """The nonzero columns without their homogenizing row, packed into ints.
+
+    Coordinate i of a column takes bits [i*w, (i+1)*w) with w the bit length
+    of max_dilate.  A point of layer m <= max_dilate has coordinates in
+    0..max_dilate, so fields never carry and a sum of columns is one int
+    addition.  That needs 0/1 entries and an all-ones last row, checked here.
+    """
+    for col in columns:
+        if len(col) != len(columns[0]) or col[-1] != 1 or not set(col) <= {0, 1}:
+            raise ValueError(f"semigroup columns must be 0/1 with last entry 1, got {col!r}")
+    width = max(1, max_dilate.bit_length())
+    packed = [sum(1 << (i * width) for i, x in enumerate(col[:-1]) if x) for col in columns]
+    if 0 not in packed:
+        # layer m grows from the new points of layer m-1 only because the
+        # zero column makes every layer contain the one before it
+        raise VerificationError("configuration has no zero column (the empty cut)")
+    return [p for p in packed if p]
+
+
 def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
-    zero = (0,) * len(columns[0])
-    layer = {zero}
+    if max_dilate < 0:
+        raise ValueError("dilate must be nonnegative")
+    steps = _packed_steps(columns, max_dilate)
+    layer = {0}
+    fresh = {0}
     sizes = [1]
-    for _ in range(max_dilate):
-        layer = {tuple(map(add, s, c)) for s in layer for c in columns}
+    sums = 0
+    for m in range(1, max_dilate + 1):
+        # a point new at layer m is s + c with s new at layer m-1
+        sums += len(fresh) * len(steps)
+        if sums > SEMIGROUP_SUM_LIMIT:
+            raise CostGuardError(
+                f"semigroup sumset refused at dilate {m}: {sums} sums estimated "
+                f"through this layer, over the limit {SEMIGROUP_SUM_LIMIT}")
+        fresh = {s + c for s in fresh for c in steps} - layer
+        layer |= fresh
         sizes.append(len(layer))
     return sizes
 
 
 def semigroup_counts(cfg, max_dilate: int | None = None) -> CountSequence:
-    """One sumset sweep giving all counts for m = 0..max_dilate (default d+1)."""
+    """One sumset sweep giving all counts for m = 0..max_dilate (default d+1).
+
+    Raises CostGuardError, before building the layer that would pass it, when
+    the sums formed would exceed SEMIGROUP_SUM_LIMIT.
+    """
     d = cfg.basis.rank - 1
     M = d + 1 if max_dilate is None else max_dilate
     return CountSequence(dimension=d, counts=tuple(_semigroup_layer_sizes(cfg.columns, M)))

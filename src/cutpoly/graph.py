@@ -7,6 +7,7 @@ fixes the coordinate order of every cut vector.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -306,6 +307,21 @@ def fundamental_cycles(g: Graph) -> list[list[int]]:
 # edge-list input
 # ---------------------------------------------------------------------------
 
+_ASCII_INT = re.compile(r"-?[0-9]+")
+
+
+def ascii_int(text: str) -> int:
+    """The integer spelled by an optional '-' and ASCII digits, nothing else.
+
+    int() also accepts '1_0', '+5', surrounding spaces and non-ASCII digits
+    such as '\u0661\u0660'; every count and label cutpoly reads goes through
+    this instead.
+    """
+    if not _ASCII_INT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format: first line m, then one 'u v' per line."""
     vertex_count = None
@@ -319,14 +335,14 @@ def parse_edge_list(text: str) -> Graph:
             if len(parts) != 1:
                 raise EdgeListParseError(lineno, "expected a single vertex count")
             try:
-                vertex_count = int(parts[0])
+                vertex_count = ascii_int(parts[0])
             except ValueError:
                 raise EdgeListParseError(lineno, f"bad vertex count {parts[0]!r}") from None
             continue
         if len(parts) != 2:
             raise EdgeListParseError(lineno, "expected two endpoints 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = ascii_int(parts[0]), ascii_int(parts[1])
         except ValueError:
             raise EdgeListParseError(lineno, f"bad endpoint in {line!r}") from None
         edges.append((lineno, u, v))

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the library's own algorithms: ranks and
 determinants run rational Gaussian elimination, Stirling numbers enumerate set
 partitions, lattice membership does a bounded exhaustive coefficient search,
-and the basis-binomial oracle rebuilds every relation from ordered partition
-pairs.
+semigroup layers are swept as tuple sumsets, and the basis-binomial oracle
+rebuilds every relation from ordered partition pairs.
 """
 
 from fractions import Fraction
@@ -80,6 +80,21 @@ def stirling2_by_partitions(n: int, k: int) -> int:
         return total
 
     return rec(1, [])
+
+
+def sumset_layer_sizes(columns, max_dilate: int) -> list[int]:
+    """|A + ... + A| (m summands) for m = 0..max_dilate, by plain tuple sums.
+
+    Each layer is rebuilt from the whole previous one; nothing is packed and
+    no column is assumed to be zero.
+    """
+    columns = [tuple(c) for c in columns]
+    layer = {(0,) * len(columns[0])}
+    sizes = [1]
+    for _ in range(max_dilate):
+        layer = {tuple(a + b for a, b in zip(s, c)) for s in layer for c in columns}
+        sizes.append(len(layer))
+    return sizes
 
 
 def bounded_membership_search(columns, target, bound: int) -> bool:

@@ -1,5 +1,6 @@
 import json
 
+from cutpoly import ehrhart
 from cutpoly.cli import (
     EXIT_COST_GUARD,
     EXIT_OK,
@@ -48,6 +49,23 @@ class TestVertices:
         assert code == EXIT_PARSE
         assert "line 3" in err
 
+    def test_strict_integers(self, capsys, tmp_path):
+        # each spelling is one int() accepts; a path on `value` vertices
+        # would be a valid graph if it were read as that integer
+        target = tmp_path / "path.txt"
+        for bad, value in (("1_0", 10), ("+5", 5), ("\u0661\u0660", 10)):
+            edges = "".join(f"{i} {i + 1}\n" for i in range(1, value - 1))
+            for first, line in ((bad, 1), (str(value), value)):
+                target.write_text(f"{first}\n{edges}{value - 1} {bad}\n", encoding="utf-8")
+                code, _, err = run_cli(capsys, "vertices", "--edge-list", str(target))
+                assert code == EXIT_PARSE, (bad, line)
+                assert f"line {line}" in err
+            for argv in (("vertices", "--cycle", bad), ("vertices", "--path", bad),
+                         ("vertices", "--kbipartite", "2", bad),
+                         ("hstar", "--path", "1", "--max-dilate", bad),
+                         ("closed-form", bad), ("gb", bad, "list")):
+                assert run_cli(capsys, *argv)[0] == EXIT_PARSE, argv
+
 
 class TestHstar:
     def test_k23(self, capsys):
@@ -82,6 +100,13 @@ class TestHstar:
         code, _, err = run_cli(capsys, "hstar", "--cycle", "4", "--max-dilate", "2")
         assert code == EXIT_COST_GUARD
         assert "5" in err  # required dilate count named in the refusal
+
+    def test_semigroup_cost_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(ehrhart, "SEMIGROUP_SUM_LIMIT", 15 * 544)
+        code, out, err = run_cli(capsys, "hstar", "--kbipartite", "2", "3")
+        assert code == EXIT_COST_GUARD
+        assert out == ""
+        assert str(15 * 1885) in err
 
     def test_counts_json_round_trip(self, capsys, tmp_path):
         counts_file = tmp_path / "counts.json"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cutpoly import ehrhart
 from cutpoly.errors import CostGuardError, VerificationError
 from cutpoly.ehrhart import (
     CountSequence,
@@ -13,7 +14,14 @@ from cutpoly.ehrhart import (
     membership_in_dilate,
     semigroup_counts,
 )
-from cutpoly.graph import Graph, complete_bipartite, configuration, cycle, path
+from cutpoly.graph import (
+    CutConfiguration,
+    Graph,
+    complete_bipartite,
+    configuration,
+    cycle,
+    path,
+)
 from cutpoly.lattice import lattice_basis
 from cutpoly.polynomial import (
     IntPolynomial,
@@ -60,6 +68,58 @@ class TestSemigroupCounts:
             cfg = configuration(path(edges))
             cs = semigroup_counts(cfg)
             assert cs.counts == tuple((m + 1) ** edges for m in range(edges + 2))
+
+
+def _random_small_graph(rng):
+    """Connected, at most 5 vertices and at most 6 edges."""
+    n = rng.randrange(3, 6)
+    edges = [(rng.randrange(1, i), i) for i in range(2, n + 1)]  # random spanning tree
+    extra = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if (u, v) not in edges]
+    rng.shuffle(extra)
+    edges += extra[:rng.randrange(0, 6 - len(edges) + 1)]
+    return Graph(n, edges)
+
+
+class TestPackedSumset:
+    """The packed, new-points-only sweep against the plain tuple sumset oracle."""
+
+    def test_random_graphs_match_tuple_sweep(self):
+        from oracles import sumset_layer_sizes
+        rng = random.Random(2008)
+        for _ in range(20):
+            cfg = configuration(_random_small_graph(rng))
+            M = cfg.basis.rank
+            assert semigroup_counts(cfg, M).counts == \
+                tuple(sumset_layer_sizes(cfg.columns, M)), cfg.graph
+
+    def test_field_width_boundaries(self):
+        # max_dilate 1..9 packs path(3) into fields of 1, 2, 3 and 4 bits
+        columns = configuration(path(3)).columns
+        for M in range(1, 10):
+            assert ehrhart._semigroup_layer_sizes(columns, M) == \
+                [(m + 1) ** 3 for m in range(M + 1)]
+
+    def test_rejects_columns_it_cannot_pack(self, c4_config):
+        cols = c4_config.columns
+        assert cols[0] == (0, 0, 0, 0, 1)
+        no_zero = CutConfiguration(columns=cols[1:], graph=c4_config.graph)
+        with pytest.raises(VerificationError):
+            semigroup_counts(no_zero)
+        for bad in ((2,) + cols[1][1:], cols[1][:-1] + (0,)):
+            broken = CutConfiguration(columns=(cols[0], bad) + cols[2:], graph=c4_config.graph)
+            with pytest.raises(ValueError):
+                semigroup_counts(broken)
+
+    def test_cost_guard_refuses_before_the_layer(self, monkeypatch, k23_config):
+        # 15 nonzero columns, so the sums through layer m are 15 * i(P, m-1)
+        monkeypatch.setattr(ehrhart, "SEMIGROUP_SUM_LIMIT", 15 * 544)
+        assert ehrhart._semigroup_layer_sizes(k23_config.columns, 4) == [1, 16, 117, 544, 1885]
+        with pytest.raises(CostGuardError) as exc:
+            semigroup_counts(k23_config)
+        message = str(exc.value)
+        assert "dilate 5" in message
+        assert str(15 * 1885) in message and str(15 * 544) in message
 
 
 class TestMembershipInDilate:
