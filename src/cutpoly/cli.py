@@ -155,7 +155,7 @@ def cmd_hstar(args) -> RunReport:
     g, descriptor = _graph_from_args(args)
     cfg = configuration(g)
     data = {"graph": descriptor, "method": args.method}
-    data["dimension"] = cfg.basis.rank - 1
+    data["dimension"] = cfg.dimension
     routes = ("semigroup", "lp") if args.method == "both" else (args.method,)
     results = {}
     sequences = {}

@@ -13,10 +13,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CostGuardError, VerificationError
 from .graph import fundamental_cycles
-from .lattice import LatticeBasis
 from .polynomial import IntPolynomial
 
 
@@ -115,7 +115,7 @@ def semigroup_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     Raises CostGuardError, before building the layer that would pass it, when
     the sums formed would exceed SEMIGROUP_SUM_LIMIT.
     """
-    d = cfg.basis.rank - 1
+    d = cfg.dimension
     M = d + 1 if max_dilate is None else max_dilate
     return CountSequence(dimension=d, counts=tuple(_semigroup_layer_sizes(cfg.columns, M)))
 
@@ -216,22 +216,33 @@ def membership_in_dilate(point, cfg, m: int) -> bool:
 
 
 class _DilatePruner:
-    """Cheap necessary conditions for membership in a dilated cut polytope.
+    """Lattice membership and cheap necessary conditions for the dilate, per cycle.
 
-    Every cut vector meets a cycle in an even edge set, so for any cycle C and
-    odd F within it, z(F) - z(C minus F) <= (|F| - 1) * m holds on the whole
-    dilate.  For each odd |F| the tightest F holds the |F| largest coordinates
-    of the cycle, so one descending sort per fundamental cycle tests them all.
-    Violations are rejected before the simplex runs; survivors still go to the
-    exact test.
+    Every cut vector meets a cycle in an even edge set.  So the column lattice
+    is L x Z, with L the integer vectors of even sum on every fundamental
+    cycle: 2 e_uv = delta({u}) + delta({v}) - delta({u,v}) puts 2Z^E in it, and
+    modulo 2 the cut vectors span the cut space (Deza-Laurent, *Geometry of
+    Cuts and Metrics*, 1997).  That is `in_lattice`.
+
+    Also, for any cycle C and odd F within it, z(F) - z(C minus F) <=
+    (|F| - 1) * m holds on the whole dilate.  For each odd |F| the tightest F
+    holds the |F| largest coordinates of the cycle, so one descending sort per
+    fundamental cycle tests them all.  That is `admits`: violations are
+    rejected before the simplex runs; survivors still go to the exact test.
     """
 
     def __init__(self, g):
-        self._cycles = fundamental_cycles(g)
+        # a cycle of a simple graph has at least 3 edges, so each getter
+        # returns the tuple of the cycle's coordinates
+        self._cycles = [itemgetter(*cyc) for cyc in fundamental_cycles(g)]
+
+    def in_lattice(self, z) -> bool:
+        """True iff z lies in the column lattice; its last coordinate is free."""
+        return all(not sum(cyc(z)) & 1 for cyc in self._cycles)
 
     def admits(self, z, m: int) -> bool:
         for cyc in self._cycles:
-            vals = sorted((z[i] for i in cyc), reverse=True)
+            vals = sorted(cyc(z), reverse=True)
             s = sum(vals)
             twice_top = 0
             for f, v in enumerate(vals):
@@ -242,36 +253,46 @@ class _DilatePruner:
         return True
 
 
-def count_lattice_points(cfg, basis: LatticeBasis, m: int) -> int:
+def count_lattice_points(cfg, m: int) -> int:
     """|m P' intersect ZA|: integer points of the dilate lying in the column lattice.
 
     Candidates range over the box [0,m]^r on the slice with last coordinate m;
-    each surviving candidate is decided exactly (lattice membership by
-    back-substitution, polytope membership by the phase-1 simplex).
+    each is decided exactly: lattice membership by cycle parity, then the
+    cycle inequalities, then polytope membership by the phase-1 simplex.
     """
     if m < 0:
         raise ValueError("dilate must be nonnegative")
     columns = cfg.columns
     r = len(columns[0]) - 1
     pruner = _DilatePruner(cfg.graph)
-    contains = basis.contains
     total = 0
     for prefix in itertools.product(range(m + 1), repeat=r):
-        if not pruner.admits(prefix, m):
+        if not pruner.in_lattice(prefix) or not pruner.admits(prefix, m):
             continue
-        z = prefix + (m,)
-        if not contains(z):
-            continue
-        if _nonneg_combination_exists(columns, z):
+        if _nonneg_combination_exists(columns, prefix + (m,)):
             total += 1
     return total
 
 
+# Box candidates the LP route may visit over all dilates before it is refused;
+# K_{2,3}, K_4 and C_6 at their default budget (dilate 7) visit 446,964.
+LP_CANDIDATE_LIMIT = 1_000_000
+
+
 def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
-    """CountSequence via the lattice-point route (independent of normality)."""
-    d = cfg.basis.rank - 1
+    """CountSequence via the lattice-point route (independent of normality).
+
+    Raises CostGuardError, before the first candidate, when the boxes [0,m]^r
+    for m = 0..max_dilate hold more than LP_CANDIDATE_LIMIT points.
+    """
+    d = cfg.dimension
     M = d + 1 if max_dilate is None else max_dilate
-    counts = tuple(count_lattice_points(cfg, cfg.basis, m) for m in range(M + 1))
+    candidates = sum((m + 1) ** d for m in range(M + 1))
+    if candidates > LP_CANDIDATE_LIMIT:
+        raise CostGuardError(
+            f"lp route refused: {candidates} box candidates for dilates 0..{M}, "
+            f"over the limit {LP_CANDIDATE_LIMIT}")
+    counts = tuple(count_lattice_points(cfg, m=m) for m in range(M + 1))
     return CountSequence(dimension=d, counts=counts)
 
 
@@ -320,7 +341,7 @@ def hstar_polynomial(cfg, method: str = "semigroup",
     The dilate budget defaults to d+1 (the minimum d plus one vanish check);
     an explicit smaller budget is refused with the required count.
     """
-    d = cfg.basis.rank - 1
+    d = cfg.dimension
     needed = d + 1
     M = needed if max_dilate is None else max_dilate
     if M < needed:

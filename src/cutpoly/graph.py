@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import EdgeListParseError, VerificationError
-from .lattice import LatticeBasis, lattice_basis
 
 MAX_VERTICES = 24  # 2^(m-1) cut vectors are enumerated; keep this desk-scale
 
@@ -174,10 +172,15 @@ class CutConfiguration:
     def column_count(self) -> int:
         return len(self.columns)
 
-    @cached_property
-    def basis(self) -> LatticeBasis:
-        """Hermite basis of the column lattice, computed once per configuration."""
-        return lattice_basis(self)
+    @property
+    def dimension(self) -> int:
+        """Dimension of Cut(G): the edge count, read off the graph.
+
+        For an edge uv, 2 e_uv = delta({u}) + delta({v}) - delta({u,v}), so every
+        unit vector lies in the span of the cut vectors and Cut(G) is
+        full-dimensional (Barahona-Mahjoub, "On the cut polytope", 1986).
+        """
+        return self.graph.edge_count
 
 
 def cut_vector(g: Graph, a) -> tuple[int, ...]:

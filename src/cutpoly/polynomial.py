@@ -1,7 +1,7 @@
 """Exact univariate integer polynomials and the combinatorial polynomials built on them.
 
 Covers dense big-integer polynomial arithmetic, Stirling numbers of the second
-kind, Eulerian polynomials (by identity and by descent enumeration), the
+kind, Eulerian polynomials (by recurrence and by descent enumeration), the
 f-polynomial to h-polynomial transform, and the closed-form h*-polynomial
 (x+1) * A_{n-2}(x)^2 of cut polytopes of K_{2,n-2}.
 """
@@ -177,18 +177,18 @@ def stirling2(n: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def eulerian(n: int) -> IntPolynomial:
-    """Eulerian polynomial A_n(x) = sum_k k! S(n,k) (x-1)^(n-k); degree n-1.
+    """Eulerian polynomial A_n(x) = sum_k A(n,k) x^k; degree n-1.
 
-    Cached: the closed form and a report of its factor A_n share one computation."""
+    Built row by row from A(1,0) = 1 and the recurrence
+    A(j,k) = (k+1) A(j-1,k) + (j-k) A(j-1,k-1).  Cached: the closed form and
+    a report of its factor A_n share one computation."""
     if n < 1:
         raise ValueError("eulerian(n) needs n >= 1")
-    x_minus_1 = IntPolynomial((-1, 1))
-    total = IntPolynomial(())
-    for k in range(1, n + 1):
-        term = math.factorial(k) * stirling2(n, k)
-        if term:
-            total = total + term * x_minus_1 ** (n - k)
-    return total
+    row = [1]
+    for j in range(2, n + 1):
+        padded = [0] + row + [0]
+        row = [(k + 1) * padded[k + 1] + (j - k) * padded[k] for k in range(j)]
+    return IntPolynomial(row)
 
 
 def eulerian_by_descents(n: int) -> IntPolynomial:

@@ -108,6 +108,13 @@ class TestHstar:
         assert out == ""
         assert str(15 * 1885) in err
 
+    def test_lp_cost_guard(self, capsys):
+        # boxes [0,m]^8 for m = 0..9 hold 167,731,333 candidates
+        code, out, err = run_cli(capsys, "hstar", "--kbipartite", "2", "4", "--method", "lp")
+        assert code == EXIT_COST_GUARD
+        assert out == ""
+        assert "167731333" in err
+
     def test_counts_json_round_trip(self, capsys, tmp_path):
         counts_file = tmp_path / "counts.json"
         code, out, _ = run_cli(capsys, "--json", "hstar", "--cycle", "4",

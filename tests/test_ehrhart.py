@@ -89,7 +89,7 @@ class TestPackedSumset:
         rng = random.Random(2008)
         for _ in range(20):
             cfg = configuration(_random_small_graph(rng))
-            M = cfg.basis.rank
+            M = lattice_basis(cfg).rank
             assert semigroup_counts(cfg, M).counts == \
                 tuple(sumset_layer_sizes(cfg.columns, M)), cfg.graph
 
@@ -183,8 +183,7 @@ class TestMembershipInDilate:
 
 class TestLatticePointCounts:
     def test_k2_dilate_one(self, k2_config):
-        basis = lattice_basis(k2_config)
-        assert count_lattice_points(k2_config, basis, 1) == 2
+        assert count_lattice_points(k2_config, 1) == 2
 
     def test_agreement_small_graphs(self):
         # normal cases: both routes must produce identical counts through d+1
@@ -195,9 +194,15 @@ class TestLatticePointCounts:
             assert semi == lp, g
 
     def test_c4_dilate_two_matches_semigroup(self, c4_config):
-        basis = lattice_basis(c4_config)
-        assert count_lattice_points(c4_config, basis, 2) == \
+        assert count_lattice_points(c4_config, 2) == \
             semigroup_counts(c4_config).counts[2]
+
+    def test_cost_guard_refuses_before_the_first_candidate(self):
+        # C_7 at dilates 0..8: sum of k^7 for k = 1..9 box candidates
+        with pytest.raises(CostGuardError) as exc:
+            lattice_point_counts(configuration(cycle(7)))
+        message = str(exc.value)
+        assert "8080425" in message and str(ehrhart.LP_CANDIDATE_LIMIT) in message
 
     def test_pruner_only_rejects_infeasible_points(self, k23_config):
         # every point the cycle-inequality pruner drops must fail the exact test

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from cutpoly.graph import configuration, path
+from cutpoly.ehrhart import _DilatePruner
+from cutpoly.graph import Graph, complete_bipartite, configuration, path
 from cutpoly.lattice import (
     hnf_columns,
     lattice_basis,
@@ -120,3 +121,45 @@ class TestPolytopeDimension:
         for e in (1, 2, 3, 4):
             assert polytope_dimension(configuration(path(e))) == e
 
+
+def _random_connected_graph(rng):
+    """Connected, at most 7 vertices, random labels and edge order."""
+    n = rng.randrange(2, 8)
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    edges = [(label[rng.randrange(0, i)], label[i]) for i in range(1, n)]
+    extra = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if (u, v) not in edges and (v, u) not in edges]
+    rng.shuffle(extra)
+    edges += extra[:rng.randrange(0, len(extra) + 1)]
+    rng.shuffle(edges)
+    return Graph(n, edges)
+
+
+class TestCutLatticeFromGraph:
+    """The dimension and lattice read off the graph, against the HNF."""
+
+    def test_dimension_and_cycle_parity_match_hnf(self):
+        k5 = Graph(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
+        petersen = Graph(10, [(i, i % 5 + 1) for i in range(1, 6)]
+                         + [(i, i + 5) for i in range(1, 6)]
+                         + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)])
+        rng = random.Random(1986)
+        graphs = [k5, complete_bipartite(3, 3), petersen]
+        graphs += [_random_connected_graph(rng) for _ in range(40)]
+        for g in graphs:
+            cfg = configuration(g)
+            basis = lattice_basis(cfg)
+            assert basis.rank - 1 == cfg.dimension, g
+            pruner = _DilatePruner(g)
+            cols = cfg.columns
+            for _ in range(200):
+                # a random point, and a lattice point with one coordinate
+                # possibly moved by one; every last coordinate is allowed
+                z = [rng.randrange(-4, 5) for _ in cols[0]]
+                picked = [(rng.randrange(-2, 3), rng.choice(cols)) for _ in range(3)]
+                combo = [sum(w * c[i] for w, c in picked) for i in range(len(cols[0]))]
+                combo[rng.randrange(len(combo))] += rng.randrange(0, 2)
+                combo[-1] = rng.randrange(-4, 5)
+                for point in (z, combo):
+                    assert basis.contains(point) == pruner.in_lattice(point), (g, point)
