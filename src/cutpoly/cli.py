@@ -157,6 +157,9 @@ def cmd_hstar(args) -> RunReport:
     data = {"graph": descriptor, "method": args.method}
     data["dimension"] = cfg.dimension
     routes = ("semigroup", "lp") if args.method == "both" else (args.method,)
+    if args.method == "both":
+        # refuse the lp budget before the semigroup route does its work
+        ehrhart.check_lp_cost(cfg, args.max_dilate)
     results = {}
     sequences = {}
     for route in routes:

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from .errors import CostGuardError, VerificationError
 from .graph import fundamental_cycles
-from .polynomial import IntPolynomial
+from .polynomial import IntPolynomial, stirling2
 
 
 @dataclass(frozen=True)
@@ -279,19 +279,36 @@ def count_lattice_points(cfg, m: int) -> int:
 LP_CANDIDATE_LIMIT = 1_000_000
 
 
-def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
-    """CountSequence via the lattice-point route (independent of normality).
+def _box_candidates(d: int, max_dilate: int) -> int:
+    """Points in the boxes [0,m]^d for m = 0..max_dilate: sum of k^d for k = 1..M+1.
 
-    Raises CostGuardError, before the first candidate, when the boxes [0,m]^r
-    for m = 0..max_dilate hold more than LP_CANDIDATE_LIMIT points.
+    Read off sum_{k=0}^{n} k^d = sum_j S(d,j) j! C(n+1, j+1) for d >= 1 (a
+    cut polytope has an edge), so it takes d terms whatever the budget.
     """
-    d = cfg.dimension
-    M = d + 1 if max_dilate is None else max_dilate
-    candidates = sum((m + 1) ** d for m in range(M + 1))
+    n = max(max_dilate + 1, 0)
+    return sum(stirling2(d, j) * math.factorial(j) * math.comb(n + 1, j + 1)
+               for j in range(1, d + 1))
+
+
+def check_lp_cost(cfg, max_dilate: int | None = None) -> None:
+    """Refuse the LP route when its boxes for dilates 0..max_dilate (default d+1)
+    hold more than LP_CANDIDATE_LIMIT points."""
+    M = cfg.dimension + 1 if max_dilate is None else max_dilate
+    candidates = _box_candidates(cfg.dimension, M)
     if candidates > LP_CANDIDATE_LIMIT:
         raise CostGuardError(
             f"lp route refused: {candidates} box candidates for dilates 0..{M}, "
             f"over the limit {LP_CANDIDATE_LIMIT}")
+
+
+def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
+    """CountSequence via the lattice-point route (independent of normality).
+
+    Raises CostGuardError, before the first candidate, by check_lp_cost.
+    """
+    check_lp_cost(cfg, max_dilate)
+    d = cfg.dimension
+    M = d + 1 if max_dilate is None else max_dilate
     counts = tuple(count_lattice_points(cfg, m=m) for m in range(M + 1))
     return CountSequence(dimension=d, counts=counts)
 

@@ -115,6 +115,13 @@ class TestHstar:
         assert out == ""
         assert "167731333" in err
 
+    def test_lp_cost_guard_runs_before_the_semigroup_route(self, capsys):
+        # the semigroup route alone would pass its guard after about 15 s
+        code, out, err = run_cli(capsys, "hstar", "--kbipartite", "2", "4", "--method", "both")
+        assert code == EXIT_COST_GUARD
+        assert out == ""
+        assert "lp route refused" in err and "167731333" in err
+
     def test_counts_json_round_trip(self, capsys, tmp_path):
         counts_file = tmp_path / "counts.json"
         code, out, _ = run_cli(capsys, "--json", "hstar", "--cycle", "4",

@@ -204,6 +204,19 @@ class TestLatticePointCounts:
         message = str(exc.value)
         assert "8080425" in message and str(ehrhart.LP_CANDIDATE_LIMIT) in message
 
+    def test_box_candidates_closed_form(self):
+        for d in range(1, 12):
+            for M in range(-3, 15):
+                assert ehrhart._box_candidates(d, M) == \
+                    sum((m + 1) ** d for m in range(M + 1))
+
+    def test_cost_guard_is_quick_on_a_huge_budget(self):
+        # a single edge at dilates 0..10^12: (10^12+1)(10^12+2)/2 candidates,
+        # estimated in one term rather than a loop over the dilates
+        with pytest.raises(CostGuardError) as exc:
+            lattice_point_counts(configuration(path(1)), 10 ** 12)
+        assert str((10 ** 12 + 1) * (10 ** 12 + 2) // 2) in str(exc.value)
+
     def test_pruner_only_rejects_infeasible_points(self, k23_config):
         # every point the cycle-inequality pruner drops must fail the exact test
         import itertools
