@@ -22,7 +22,6 @@ from .graph import (
     ascii_int,
     complete_bipartite,
     configuration,
-    cut_polytope_vertices,
     cycle,
     path,
     read_edge_list,
@@ -123,12 +122,11 @@ def _poly_entry(p: IntPolynomial, route: str) -> dict:
 
 def cmd_vertices(args) -> RunReport:
     g, descriptor = _graph_from_args(args)
-    vertices = cut_polytope_vertices(g)
     cfg = configuration(g)
     data = {
         "graph": descriptor,
-        "vertex_count": len(vertices),
-        "vertices": [list(v) for v in vertices],
+        "vertex_count": cfg.column_count,
+        "vertices": [list(c[:-1]) for c in cfg.columns],
         "configuration_columns": [list(c) for c in cfg.columns],
     }
     return RunReport(command="vertices", data=data)

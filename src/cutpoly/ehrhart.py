@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import CostGuardError, VerificationError
 from .graph import fundamental_cycles
@@ -124,8 +125,10 @@ def semigroup_counts(cfg, max_dilate: int | None = None) -> CountSequence:
 # route two: lattice points of the dilate, decided point by point
 # ---------------------------------------------------------------------------
 
-def _nonneg_combination_exists(columns, rhs) -> bool:
-    """Exact feasibility of { lam >= 0 : sum_j lam_j * column_j = rhs }.
+def _phase1(columns, rhs) -> tuple[bool, list[int]]:
+    """Exact feasibility of { lam >= 0 : sum_j lam_j * column_j = rhs }, and the
+    final basis: entry i is the column basic in row i, a column id below
+    len(columns) or len(columns) + i for row i's artificial.
 
     Phase-1 simplex minimizing the artificial sum, with Bland's rule for
     termination.  The rational tableau is carried fraction-free: an integer
@@ -146,9 +149,9 @@ def _nonneg_combination_exists(columns, rhs) -> bool:
         for j in range(ncols + 1):
             obj[j] -= row[j]
     rows.append(obj)
-    if obj[ncols] == 0:
-        return True
     basis = [ncols + i for i in range(nrows)]  # artificial ids follow the lambda ids
+    if obj[ncols] == 0:
+        return True, basis
     den = 1
     objrow = nrows
     while True:
@@ -159,7 +162,7 @@ def _nonneg_combination_exists(columns, rhs) -> bool:
                 entering = j
                 break
         if entering < 0:
-            return rows[objrow][ncols] == 0
+            return rows[objrow][ncols] == 0, basis
         # ratio test over rows with positive entry in the entering column
         leave = -1
         for i in range(nrows):
@@ -192,7 +195,12 @@ def _nonneg_combination_exists(columns, rhs) -> bool:
         den = pivot
         basis[leave] = entering
         if rows[objrow][ncols] == 0:
-            return True
+            return True, basis
+
+
+def _nonneg_combination_exists(columns, rhs) -> bool:
+    """Exact feasibility of { lam >= 0 : sum_j lam_j * column_j = rhs }."""
+    return _phase1(columns, rhs)[0]
 
 
 def membership_in_dilate(point, cfg, m: int) -> bool:
@@ -222,7 +230,8 @@ class _DilatePruner:
     is L x Z, with L the integer vectors of even sum on every fundamental
     cycle: 2 e_uv = delta({u}) + delta({v}) - delta({u,v}) puts 2Z^E in it, and
     modulo 2 the cut vectors span the cut space (Deza-Laurent, *Geometry of
-    Cuts and Metrics*, 1997).  That is `in_lattice`.
+    Cuts and Metrics*, 1997).  That is `in_lattice`; `lattice_points` walks
+    the lattice points of the box [0,m]^r without testing any other point.
 
     Also, for any cycle C and odd F within it, z(F) - z(C minus F) <=
     (|F| - 1) * m holds on the whole dilate.  For each odd |F| the tightest F
@@ -232,9 +241,21 @@ class _DilatePruner:
     """
 
     def __init__(self, g):
+        cycles = fundamental_cycles(g)
         # a cycle of a simple graph has at least 3 edges, so each getter
         # returns the tuple of the cycle's coordinates
-        self._cycles = [itemgetter(*cyc) for cyc in fundamental_cycles(g)]
+        self._cycles = [itemgetter(*cyc) for cyc in cycles]
+        # each cycle closes on an edge of no other fundamental cycle (its
+        # non-tree edge always qualifies); the other edges are free
+        on_cycles = Counter(e for cyc in cycles for e in cyc)
+        closing = [next(e for e in cyc if on_cycles[e] == 1) for cyc in cycles]
+        free = [e for e in range(g.edge_count) if e not in closing]
+        # a walk point lists the free coordinates, then the closing ones
+        position = {e: k for k, e in enumerate(free + closing)}
+        self._free_count = len(free)
+        # each cycle without its closing edge holds free coordinates only
+        self._rests = [[position[e] for e in cyc if e != c] for cyc, c in zip(cycles, closing)]
+        self._positions = [position[e] for e in range(g.edge_count)]
 
     def in_lattice(self, z) -> bool:
         """True iff z lies in the column lattice; its last coordinate is free."""
@@ -252,24 +273,150 @@ class _DilatePruner:
                     return False
         return True
 
+    def lattice_points(self, m: int):
+        """The points of [0,m]^r that `in_lattice` accepts, each once.
+
+        Free coordinates range over 0..m; a closing coordinate steps by 2 from
+        the parity of the rest of its cycle, which holds free edges only.
+        """
+        if not self._rests:
+            # a tree: every box point is in the lattice
+            yield from itertools.product(range(m + 1), repeat=self._free_count)
+            return
+        # a graph with a cycle has at least 3 edges, so this returns tuples
+        to_edge_order = itemgetter(*self._positions)
+        for free in itertools.product(range(m + 1), repeat=self._free_count):
+            closers = [range(sum(free[k] for k in rest) & 1, m + 1, 2) for rest in self._rests]
+            for closed in itertools.product(*closers):
+                yield to_edge_order(free + closed)
+
+
+def _scaled_inverse(basis_columns) -> list[tuple[int, ...]]:
+    """Rows of D * B^-1 with D > 0, for the nonsingular B with these columns.
+
+    Fraction-free Gauss-Jordan on [B | I], as in `_phase1`: row operations
+    take B to D * I, so they take I to D * B^-1.
+    """
+    n = len(basis_columns)
+    rows = [[col[i] for col in basis_columns] + [int(i == k) for k in range(n)]
+            for i in range(n)]
+    den = 1
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c]), None)
+        if p is None:
+            raise VerificationError("certificate basis is singular")
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot_row = rows[c]
+        pivot = pivot_row[c]
+        for i in range(n):
+            if i != c:
+                factor = rows[i][c]
+                rows[i] = [(pivot * a - factor * b) // den for a, b in zip(rows[i], pivot_row)]
+        den = pivot
+    sign = 1 if den > 0 else -1
+    inverse = [tuple(sign * x for x in row[n:]) for row in rows]
+    for i, row in enumerate(inverse):
+        for j, col in enumerate(basis_columns):
+            if sum(map(mul, row, col)) != (abs(den) if i == j else 0):
+                raise VerificationError("certificate rows are not a scaled basis inverse")
+    return inverse
+
+
+def _independent_extension(chosen, columns) -> list:
+    """`chosen` (linearly independent) plus columns that raise the rank, in
+    order, until the rank is full."""
+    echelon = []
+    picked = []
+    for col in itertools.chain(chosen, columns):
+        v = list(col)
+        for p, e in echelon:
+            if v[p]:
+                v = [e[p] * a - v[p] * b for a, b in zip(v, e)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is not None:
+            echelon.append((p, v))
+            picked.append(col)
+            if len(picked) == len(col):
+                break
+    return picked
+
+
+class _Certificates:
+    """Exact proofs from earlier simplex calls that decide later points.
+
+    A cone is the rows of D * B^-1 (D > 0) for a basis B of configuration
+    columns: z with row . z >= 0 for every row is a nonnegative combination of
+    B's columns, so z is in the dilate given by its last coordinate.  A
+    separator is a Farkas vector s with s . a <= 0 for every column a: z with
+    s . z > 0 is in no dilate.  Only the simplex makes new ones, and each is
+    checked when it is stored.
+    """
+
+    def __init__(self, columns):
+        self._columns = columns
+        self._cones = []
+        self._separators = []
+
+    def in_dilate(self, z) -> bool:
+        """Whether z (last coordinate m) lies in the m-th dilate."""
+        for s in self._separators:
+            if sum(map(mul, s, z)) > 0:
+                return False
+        cones = self._cones
+        for k, cone in enumerate(cones):
+            for row in cone:
+                if sum(map(mul, row, z)) < 0:
+                    break
+            else:
+                if k:
+                    # most recently used first
+                    cones.insert(0, cones.pop(k))
+                return True
+        feasible, basis = _phase1(self._columns, z)
+        if feasible:
+            self._add_cone(basis, z)
+        else:
+            self._add_separator(basis, z)
+        return feasible
+
+    def _add_cone(self, basis, z) -> None:
+        columns = self._columns
+        chosen = [columns[j] for j in basis if j < len(columns)]
+        cone = _scaled_inverse(_independent_extension(chosen, columns))
+        if any(sum(map(mul, row, z)) < 0 for row in cone):
+            raise VerificationError(f"feasible point {z} lies outside its basis cone")
+        self._cones.insert(0, cone)
+
+    def _add_separator(self, basis, z) -> None:
+        columns = self._columns
+        n = len(columns)
+        # row i's artificial column is the unit vector e_i, negated where
+        # _phase1 negated the row for a negative right-hand side
+        units = [tuple((-1 if z[i] < 0 else 1) * (i == k) for k in range(len(z)))
+                 for i in range(len(z))]
+        inverse = _scaled_inverse([columns[j] if j < n else units[j - n] for j in basis])
+        # phase-1 duals: the cost row (1 on artificials) times B^-1
+        s = [sum(col) for col in zip(*(row for row, j in zip(inverse, basis) if j >= n))]
+        if sum(map(mul, s, z)) <= 0 or any(sum(map(mul, s, a)) > 0 for a in columns):
+            raise VerificationError(f"phase-1 duals for {z} are not a Farkas certificate")
+        self._separators.append(s)
+
 
 def count_lattice_points(cfg, m: int) -> int:
     """|m P' intersect ZA|: integer points of the dilate lying in the column lattice.
 
-    Candidates range over the box [0,m]^r on the slice with last coordinate m;
-    each is decided exactly: lattice membership by cycle parity, then the
-    cycle inequalities, then polytope membership by the phase-1 simplex.
+    Candidates are the lattice points of the box [0,m]^r on the slice with
+    last coordinate m; each is decided exactly: first by the cycle
+    inequalities, then by a cached cone or separator, and otherwise by the
+    phase-1 simplex, whose answer is cached as a new certificate.
     """
     if m < 0:
         raise ValueError("dilate must be nonnegative")
-    columns = cfg.columns
-    r = len(columns[0]) - 1
     pruner = _DilatePruner(cfg.graph)
+    certificates = _Certificates(cfg.columns)
     total = 0
-    for prefix in itertools.product(range(m + 1), repeat=r):
-        if not pruner.in_lattice(prefix) or not pruner.admits(prefix, m):
-            continue
-        if _nonneg_combination_exists(columns, prefix + (m,)):
+    for prefix in pruner.lattice_points(m):
+        if pruner.admits(prefix, m) and certificates.in_dilate(prefix + (m,)):
             total += 1
     return total
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -70,14 +71,14 @@ class TestSemigroupCounts:
             assert cs.counts == tuple((m + 1) ** edges for m in range(edges + 2))
 
 
-def _random_small_graph(rng):
-    """Connected, at most 5 vertices and at most 6 edges."""
+def _random_small_graph(rng, max_edges=6):
+    """Connected, at most 5 vertices and at most max_edges edges."""
     n = rng.randrange(3, 6)
     edges = [(rng.randrange(1, i), i) for i in range(2, n + 1)]  # random spanning tree
     extra = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
              if (u, v) not in edges]
     rng.shuffle(extra)
-    edges += extra[:rng.randrange(0, 6 - len(edges) + 1)]
+    edges += extra[:rng.randrange(0, max_edges - len(edges) + 1)]
     return Graph(n, edges)
 
 
@@ -231,6 +232,108 @@ class TestLatticePointCounts:
                 for prefix in itertools.product(range(m + 1), repeat=r):
                     if not pruner.admits(prefix, m):
                         assert not _nonneg_combination_exists(cfg.columns, prefix + (m,))
+
+
+K4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+PETERSEN = Graph(10, [(i, i % 5 + 1) for i in range(1, 6)]
+                 + [(i, i + 5) for i in range(1, 6)]
+                 + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)])
+
+
+def _walk_graphs():
+    """The seeded random graphs shared by the walk and certificate tests."""
+    rng = random.Random(1997)
+    return [_random_small_graph(rng, max_edges=7) for _ in range(20)]
+
+
+class TestLatticeWalk:
+    """The walk over lattice points, against the box filtered by cycle parity."""
+
+    def test_walk_is_the_box_filtered_by_in_lattice(self):
+        from cutpoly.ehrhart import _DilatePruner
+        cases = [(g, 3) for g in (cycle(4), cycle(5), K4, complete_bipartite(2, 3))]
+        cases.append((PETERSEN, 1))
+        cases += [(g, 3) for g in _walk_graphs()]
+        for g, top in cases:
+            pruner = _DilatePruner(g)
+            for m in range(top + 1):
+                walked = list(pruner.lattice_points(m))
+                box = [z for z in itertools.product(range(m + 1), repeat=g.edge_count)
+                       if pruner.in_lattice(z)]
+                assert len(walked) == len(set(walked)), (g, m)
+                assert set(walked) == set(box), (g, m)
+
+
+class TestCertificates:
+    """Cached cones and separators answer for the simplex, never against it."""
+
+    def test_counts_match_a_plain_per_point_count(self):
+        from cutpoly.ehrhart import _DilatePruner, _nonneg_combination_exists
+        for g in _walk_graphs() + [K4, cycle(5), complete_bipartite(2, 3)]:
+            cfg = configuration(g)
+            pruner = _DilatePruner(g)
+            for m in range(5):
+                plain = sum(1 for z in itertools.product(range(m + 1), repeat=g.edge_count)
+                            if pruner.in_lattice(z) and pruner.admits(z, m)
+                            and _nonneg_combination_exists(cfg.columns, z + (m,)))
+                assert count_lattice_points(cfg, m) == plain, (g, m)
+
+    def test_cached_answers_match_the_simplex_anywhere(self, k23_config):
+        # no walk or cycle inequalities first, so the certificates also meet
+        # points outside the lattice and the box, some with negative entries
+        from cutpoly.ehrhart import _Certificates, _nonneg_combination_exists
+        rng = random.Random(58140)
+        for cfg in (k23_config, configuration(K4)):
+            for m in (1, 2, 3):
+                certificates = _Certificates(cfg.columns)
+                for _ in range(300):
+                    z = tuple(rng.randrange(-1, m + 2) for _ in range(cfg.row_count - 1)) + (m,)
+                    assert certificates.in_dilate(z) == \
+                        _nonneg_combination_exists(cfg.columns, z), (cfg.graph, z)
+
+    def test_simplex_calls_at_the_default_budget(self, monkeypatch, k23_config):
+        calls = [0]
+        phase1 = ehrhart._phase1
+
+        def counted(columns, rhs):
+            calls[0] += 1
+            return phase1(columns, rhs)
+
+        monkeypatch.setattr(ehrhart, "_phase1", counted)
+        # without the caches: 58,140, 8,482 and 12,138 calls
+        cases = [(k23_config, 28288, 1000), (configuration(K4), 3312, 200),
+                 (configuration(cycle(5)), 7028, 500)]
+        for cfg, top_count, limit in cases:
+            calls[0] = 0
+            assert lattice_point_counts(cfg).counts[-1] == top_count
+            assert calls[0] < limit, (cfg.graph, calls[0])
+
+    def test_wrong_simplex_answers_are_refused(self, monkeypatch, c4_config):
+        phase1 = ehrhart._phase1
+
+        def flipped(columns, rhs):
+            feasible, basis = phase1(columns, rhs)
+            return not feasible, basis
+
+        monkeypatch.setattr(ehrhart, "_phase1", flipped)
+        # inside 2P, and outside every dilate (odd on the 4-cycle)
+        for z in ((2, 2, 2, 2, 2), (1, 0, 0, 0, 1)):
+            with pytest.raises(VerificationError):
+                ehrhart._Certificates(c4_config.columns).in_dilate(z)
+
+    def test_scaled_inverse_is_the_adjugate(self):
+        from oracles import rational_determinant
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randrange(1, 6)
+            matrix = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+            det = rational_determinant(matrix)
+            if det == 0:
+                continue
+            columns = [list(col) for col in zip(*matrix)]
+            inverse = ehrhart._scaled_inverse(columns)
+            # row i against column i gives the scale, which must be |det|
+            assert sum(a * b for a, b in zip(inverse[0], columns[0])) == abs(det)
 
 
 class TestHstarTransforms:
