@@ -53,7 +53,7 @@ def variable_table(n: int) -> VariableTable:
     return VariableTable(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionMonomial:
     """Monomial of K[q]: variable indices ascending, repeated per exponent."""
 
@@ -414,53 +414,57 @@ def _standard_supports(n: int, variable_class: str, degree: int | None = None):
     yield from rec((), pool)
 
 
-def pattern_split(mono: PartitionMonomial) -> tuple[list[frozenset], list[frozenset]]:
-    """Factor a squarefree monomial into its two variable classes.
-
-    Returns (together-class sides not containing 1 or 2, split-class sets A'
-    where the variable's vertex-1 side is {1} u A').
-    """
-    table = variable_table(mono.n)
-    rest = frozenset(range(3, mono.n + 1))
-    together = []
-    split = []
-    for i in mono.ids:
-        p = table.variables[i]
-        if p.splits_12:
-            split.append(rest - (p.a_side - {2}))
-        else:
-            together.append(p.a_side)
-    return together, split
+@lru_cache(maxsize=None)
+def _chain_masks(n: int) -> tuple[tuple[bool, int], ...]:
+    """Per variable, (splits_12, mask over {3..n}): for a split variable the
+    set A' where its vertex-1 side is {1} u A', for a together variable its
+    side not containing 1 or 2 (bit v-1 for vertex v)."""
+    rest = ((1 << n) - 1) & ~0b11
+    return tuple(
+        (p.splits_12, rest & ~(p.a_mask & ~0b10) if p.splits_12 else p.a_mask)
+        for p in variable_table(n).variables)
 
 
-def _is_strict_chain(sets) -> bool:
-    ordered = sorted(sets, key=len)
-    return all(a < b for a, b in zip(ordered, ordered[1:]))
+def _strict_chain(masks) -> list[int] | None:
+    """`masks` ascending by size when each is a proper subset of the next,
+    else None."""
+    ordered = sorted(masks, key=int.bit_count)
+    for a, b in zip(ordered, ordered[1:]):
+        if a & ~b or a == b:
+            return None
+    return ordered
 
 
 def chain_characterization_holds(mono: PartitionMonomial) -> bool:
     """Nested-chain test equivalent to standardness for squarefree monomials.
 
     Both variable classes must form strict inclusion chains, and the split
-    class must not stretch from the empty set to all of {3..n}.
+    class must not stretch from the empty set to all of {3..n}.  The sets are
+    bitmasks read from a table built once per n.
     """
-    together, split = pattern_split(mono)
-    if not _is_strict_chain(together) or not _is_strict_chain(split):
+    table = _chain_masks(mono.n)
+    together = []
+    split = []
+    for i in mono.ids:
+        splits_12, mask = table[i]
+        (split if splits_12 else together).append(mask)
+    if _strict_chain(together) is None:
         return False
-    if split:
-        rest = frozenset(range(3, mono.n + 1))
-        ordered = sorted(split, key=len)
-        if ordered[0] == frozenset() and ordered[-1] == rest:
-            return False
-    return True
+    split = _strict_chain(split)
+    if split is None:
+        return False
+    rest = ((1 << mono.n) - 1) & ~0b11
+    return not (split and split[0] == 0 and split[-1] == rest)
 
 
 def enumerate_squarefree_standard(n: int, k: int) -> list[PartitionMonomial]:
     """All squarefree standard monomials of degree k, ascending-id order.
 
-    Each result is validated against the nested-chain characterization; a
-    mismatch would mean the generated basis and the chain description diverge
-    and raises.
+    The walk over the conflict graph yields them; each result is then
+    validated against the nested-chain characterization
+    (`chain_characterization_holds`), and a mismatch, which would mean the
+    generated basis and the chain description diverge, raises
+    VerificationError.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -538,8 +542,12 @@ def f_vector(n: int) -> list[int]:
 def count_standard_by_degree(n: int, m: int) -> int:
     """All (not necessarily squarefree) standard monomials of degree m.
 
-    Direct enumeration over degree-m monomials in 2^(n-1) variables, so the
-    guard is tight: n <= 6 and m <= 5.
+    A pruned walk over nondecreasing variable-id sequences: after taking
+    variable j it continues over the ids >= j (j may repeat) that form no
+    initial monomial with j, and counts the sequences reaching length m, so
+    each standard monomial is visited exactly once.  The guard n <= 6,
+    m <= 5 is kept from the earlier enumeration of every degree-m monomial;
+    the walk itself no longer needs it that tight.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -547,12 +555,21 @@ def count_standard_by_degree(n: int, m: int) -> int:
         raise ValueError("degree must be nonnegative")
     if n > 6 or m > 5:
         raise CostGuardError(f"standard-monomial count refused for n = {n}, m = {m}")
-    pairs = lead_pairs(n)
-    count = 0
-    for combo in itertools.combinations_with_replacement(range(len(variable_table(n))), m):
-        if _lead_dividing(combo, pairs) is None:
-            count += 1
-    return count
+    bad = _conflict_masks(n)
+
+    def walk(allowed, left):
+        if not left:
+            return 1
+        total = 0
+        a = allowed
+        while a:
+            low = a & -a
+            j = low.bit_length() - 1
+            a ^= low
+            total += walk(allowed & ~(low - 1) & ~bad[j], left - 1)
+        return total
+
+    return walk((1 << len(bad)) - 1, m)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@
 Everything here deliberately avoids the library's own algorithms: ranks and
 determinants run rational Gaussian elimination, Stirling numbers enumerate set
 partitions, lattice membership does a bounded exhaustive coefficient search,
-semigroup layers are swept as tuple sumsets, and the basis-binomial oracle
-rebuilds every relation from ordered partition pairs.
+semigroup layers are swept as tuple sumsets, the basis-binomial oracle
+rebuilds every relation from ordered partition pairs, the chain test compares
+frozensets, and standard monomials of a degree are filtered out of all
+monomials of that degree.
 """
 
 from fractions import Fraction
 import itertools
+
+from cutpoly.grobner import PartitionMonomial, is_standard, variable_table
 
 
 def rational_rank(columns) -> int:
@@ -195,3 +199,46 @@ def cut_ideal_basis_by_pairs(n: int):
             if 1 in a_set & c_set and 2 in a_set & c_set:
                 found.add((3, lead, trail))
     return found
+
+
+def pattern_split(mono):
+    """Factor a squarefree monomial into its two variable classes.
+
+    Returns (together-class sides not containing 1 or 2, split-class sets A'
+    where the variable's vertex-1 side is {1} u A'), each a frozenset.
+    """
+    table = variable_table(mono.n)
+    rest = frozenset(range(3, mono.n + 1))
+    together = []
+    split = []
+    for i in mono.ids:
+        p = table.variables[i]
+        if p.splits_12:
+            split.append(rest - (p.a_side - {2}))
+        else:
+            together.append(p.a_side)
+    return together, split
+
+
+def chain_characterization_by_sets(mono) -> bool:
+    """The nested-chain test on frozensets: both classes strict inclusion
+    chains, the split class not running from the empty set to all of {3..n}."""
+    def strict_chain(sets):
+        ordered = sorted(sets, key=len)
+        return all(a < b for a, b in zip(ordered, ordered[1:]))
+
+    together, split = pattern_split(mono)
+    if not strict_chain(together) or not strict_chain(split):
+        return False
+    if split:
+        ordered = sorted(split, key=len)
+        if ordered[0] == frozenset() and ordered[-1] == frozenset(range(3, mono.n + 1)):
+            return False
+    return True
+
+
+def standard_count_by_filter(n: int, m: int) -> int:
+    """Standard monomials of degree m: every degree-m multiset of the 2^(n-1)
+    variables, kept when no initial monomial divides it."""
+    return sum(1 for ids in itertools.combinations_with_replacement(range(len(variable_table(n))), m)
+               if is_standard(PartitionMonomial(n, ids)))

@@ -24,7 +24,6 @@ from cutpoly.grobner import (
     f_vector,
     generate_gb,
     iter_squarefree_standard,
-    pattern_split,
     squarefree_standard_counts,
     table1_cells,
 )
@@ -38,6 +37,7 @@ from cutpoly.polynomial import (
     is_palindromic,
 )
 
+from oracles import pattern_split
 from test_grobner import canonical_binomial_set, listed_n5_canonical
 
 

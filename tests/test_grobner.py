@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
+import math
 import random
 from collections import Counter
 
 import pytest
 
-from cutpoly.errors import CostGuardError
+from cutpoly import grobner
+from cutpoly.errors import CostGuardError, VerificationError
 from cutpoly.grobner import (
     PartitionMonomial,
     basis_payload,
@@ -21,7 +24,6 @@ from cutpoly.grobner import (
     iter_squarefree_standard,
     monomial,
     monomial_order_cmp,
-    pattern_split,
     reduce,
     s_polynomial,
     squarefree_standard_counts,
@@ -29,8 +31,14 @@ from cutpoly.grobner import (
     variable_table,
 )
 from cutpoly.ehrhart import semigroup_counts
+from cutpoly.polynomial import hstar_closed_form_k2m
 
-from oracles import cut_ideal_basis_by_pairs
+from oracles import (
+    chain_characterization_by_sets,
+    cut_ideal_basis_by_pairs,
+    pattern_split,
+    standard_count_by_filter,
+)
 
 # the nineteen basis binomials of the cut ideal for n = 5, as displayed:
 # ((lead variable sides), (trail variable sides)), one side per partition
@@ -102,6 +110,19 @@ class TestVariableOrder:
             boundary = patterns.index("12-together")
             assert all(p == "1-and-2-split" for p in patterns[:boundary])
             assert all(p == "12-together" for p in patterns[boundary:])
+
+
+class TestPartitionMonomial:
+    def test_slotted_and_frozen(self):
+        mono = PartitionMonomial(5, (7, 2, 2))
+        assert mono.ids == (2, 2, 7)
+        assert not hasattr(mono, "__dict__")
+        same = PartitionMonomial(5, (2, 7, 2))
+        assert mono == same and hash(mono) == hash(same)
+        assert mono != PartitionMonomial(6, (2, 2, 7))
+        assert len({mono, same, PartitionMonomial(5, (2, 7))}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mono.ids = (1,)
 
 
 class TestMonomialOrder:
@@ -285,10 +306,28 @@ class TestStandardMonomials:
         assert enumerate_squarefree_standard(n, 2 * n - 2) == []
 
     def test_chain_characterization_agrees_with_divisibility(self):
-        table = variable_table(5)
-        for ids in itertools.combinations(range(len(table)), 2):
-            mono = PartitionMonomial(5, ids)
-            assert chain_characterization_holds(mono) == is_standard(mono), ids
+        # every support of n = 5 up to degree 4 and of n = 6 up to degree 3
+        for n, top in ((5, 4), (6, 3)):
+            table = variable_table(n)
+            for k in range(top + 1):
+                for ids in itertools.combinations(range(len(table)), k):
+                    mono = PartitionMonomial(n, ids)
+                    assert chain_characterization_holds(mono) == is_standard(mono), (n, ids)
+
+    def test_chain_characterization_agrees_with_set_oracle(self):
+        monos = enumerate_squarefree_standard(7, 4)
+        assert len(monos) == 81180
+        for mono in monos:
+            assert chain_characterization_holds(mono) == chain_characterization_by_sets(mono)
+
+    def test_enumeration_checks_every_result(self, monkeypatch):
+        rejected = enumerate_squarefree_standard(5, 3)[7]
+        check = grobner.chain_characterization_holds
+        monkeypatch.setattr(grobner, "chain_characterization_holds",
+                            lambda mono: mono != rejected and check(mono))
+        with pytest.raises(VerificationError) as caught:
+            enumerate_squarefree_standard(5, 3)
+        assert str(caught.value) == f"chain characterization failed for {rejected.ids}"
 
     def test_cost_guard(self):
         with pytest.raises(CostGuardError):
@@ -396,6 +435,19 @@ class TestHilbertConsistency:
             counts = semigroup_counts(cfg).counts
             for m in range(0, 4):
                 assert count_standard_by_degree(n, m) == counts[m], (n, m)
+
+    def test_walk_matches_filter(self):
+        for n in (4, 5):
+            for m in range(5):
+                assert count_standard_by_degree(n, m) == standard_count_by_filter(n, m), (n, m)
+
+    def test_n6_matches_closed_form(self):
+        # i(P, m) = sum_i h*_i C(m + d - i, d) with d = 2n - 4 = 8
+        h = hstar_closed_form_k2m(6)
+        expected = [sum(h.coefficient(i) * math.comb(m + 8 - i, 8) for i in range(9))
+                    for m in range(6)]
+        assert expected[5] == 60960
+        assert [count_standard_by_degree(6, m) for m in range(6)] == expected
 
     def test_cost_guards(self):
         with pytest.raises(CostGuardError):
