@@ -2,8 +2,12 @@
 
 Route one counts degree-m semigroup elements (iterated sumsets of the
 configuration columns).  Route two counts integer points of the dilated
-polytope inside the column lattice, deciding polytope membership by an exact
-rational phase-1 simplex.  The two agree exactly when the toric ring is
+polytope inside the column lattice.  A graph of at most nine edges has no K5
+minor, so there the dilate is cut out by the parity and odd-set inequalities
+of its chordless cycles (Barahona-Mahjoub), counted by a pruned walk with no
+simplex call; an exact rational phase-1 simplex re-decides a few points per
+dilate, and any disagreement raises.  A larger graph has each candidate
+decided by the simplex.  The two routes agree exactly when the toric ring is
 normal; disagreements are surfaced, never masked.
 """
 
@@ -12,9 +16,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .errors import CostGuardError, VerificationError
 from .graph import fundamental_cycles
@@ -122,7 +127,7 @@ def semigroup_counts(cfg, max_dilate: int | None = None) -> CountSequence:
 
 
 # ---------------------------------------------------------------------------
-# route two: lattice points of the dilate, decided point by point
+# route two: lattice points of the dilate
 # ---------------------------------------------------------------------------
 
 def _phase1(columns, rhs) -> tuple[bool, list[int]]:
@@ -223,6 +228,43 @@ def membership_in_dilate(point, cfg, m: int) -> bool:
     return _nonneg_combination_exists(columns, point)
 
 
+def _closing_range(rest, m: int) -> tuple[int, int]:
+    """[lo, hi]: the x in 0..m that meet every odd-F inequality of a cycle
+    whose other coordinates are `rest`.
+
+    On the m-th dilate z(F) - z(C minus F) <= (|F| - 1) * m holds for every
+    cycle C and odd F within it.  With j coordinates of `rest` in F the
+    tightest F takes the j largest: an even j with x in F bounds x above, an
+    odd j with x outside F bounds it below.
+    """
+    s = sum(rest)
+    lo, hi = 0, min(m, s)
+    top = 0
+    for j, v in enumerate(sorted(rest, reverse=True), 1):
+        top += v
+        if j & 1:
+            lo = max(lo, 2 * top - s - (j - 1) * m)
+        else:
+            hi = min(hi, j * m - 2 * top + s)
+    return lo, hi
+
+
+def _closing_values(rests, m: int) -> range:
+    """The values in 0..m of an edge that closes a cycle for each of `rests`
+    (the cycle's other coordinates): within every `_closing_range`, and of
+    even sum with every rest."""
+    parities = {sum(rest) & 1 for rest in rests}
+    if len(parities) > 1:
+        return range(0)
+    lo, hi = 0, m
+    for rest in rests:
+        a, b = _closing_range(rest, m)
+        lo, hi = max(lo, a), min(hi, b)
+    if not parities:
+        return range(lo, hi + 1)
+    return range(lo + ((lo ^ parities.pop()) & 1), hi + 1, 2)
+
+
 class _DilatePruner:
     """Lattice membership and cheap necessary conditions for the dilate, per cycle.
 
@@ -233,11 +275,9 @@ class _DilatePruner:
     Cuts and Metrics*, 1997).  That is `in_lattice`; `lattice_points` walks
     the lattice points of the box [0,m]^r without testing any other point.
 
-    Also, for any cycle C and odd F within it, z(F) - z(C minus F) <=
-    (|F| - 1) * m holds on the whole dilate.  For each odd |F| the tightest F
-    holds the |F| largest coordinates of the cycle, so one descending sort per
-    fundamental cycle tests them all.  That is `admits`: violations are
-    rejected before the simplex runs; survivors still go to the exact test.
+    `admits` tests each fundamental cycle's odd-F inequalities
+    (`_closing_range`) on a point of the box: violations are outside the
+    dilate.
     """
 
     def __init__(self, g):
@@ -263,14 +303,10 @@ class _DilatePruner:
 
     def admits(self, z, m: int) -> bool:
         for cyc in self._cycles:
-            vals = sorted(cyc(z), reverse=True)
-            s = sum(vals)
-            twice_top = 0
-            for f, v in enumerate(vals):
-                # F is the f+1 largest coordinates; only odd |F| gives a bound
-                twice_top += 2 * v
-                if not f & 1 and twice_top - s > f * m:
-                    return False
+            x, *rest = cyc(z)
+            lo, hi = _closing_range(rest, m)
+            if not lo <= x <= hi:
+                return False
         return True
 
     def lattice_points(self, m: int):
@@ -291,134 +327,155 @@ class _DilatePruner:
                 yield to_edge_order(free + closed)
 
 
-def _scaled_inverse(basis_columns) -> list[tuple[int, ...]]:
-    """Rows of D * B^-1 with D > 0, for the nonsingular B with these columns.
+def _chordless_cycles(g) -> list[list[int]]:
+    """The chordless cycles of g as sorted edge-index lists.
 
-    Fraction-free Gauss-Jordan on [B | I], as in `_phase1`: row operations
-    take B to D * I, so they take I to D * B^-1.
+    They are the members of the cycle space, the XORs of the fundamental
+    cycles, that form one cycle which no other edge of g joins twice.  That
+    takes 2^(number of fundamental cycles) XORs.
     """
-    n = len(basis_columns)
-    rows = [[col[i] for col in basis_columns] + [int(i == k) for k in range(n)]
-            for i in range(n)]
-    den = 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c]), None)
-        if p is None:
-            raise VerificationError("certificate basis is singular")
-        rows[c], rows[p] = rows[p], rows[c]
-        pivot_row = rows[c]
-        pivot = pivot_row[c]
-        for i in range(n):
-            if i != c:
-                factor = rows[i][c]
-                rows[i] = [(pivot * a - factor * b) // den for a, b in zip(rows[i], pivot_row)]
-        den = pivot
-    sign = 1 if den > 0 else -1
-    inverse = [tuple(sign * x for x in row[n:]) for row in rows]
-    for i, row in enumerate(inverse):
-        for j, col in enumerate(basis_columns):
-            if sum(map(mul, row, col)) != (abs(den) if i == j else 0):
-                raise VerificationError("certificate rows are not a scaled basis inverse")
-    return inverse
+    ends = [(1 << u) | (1 << v) for u, v in g.edges]
+    basis = [sum(1 << e for e in cyc) for cyc in fundamental_cycles(g)]
+    found = []
+    for subset in range(1, 1 << len(basis)):
+        members = 0
+        for i, cyc in enumerate(basis):
+            if subset >> i & 1:
+                members ^= cyc
+        edges = [e for e in range(len(ends)) if members >> e & 1]
+        vertices = 0
+        for e in edges:
+            vertices |= ends[e]
+        # every degree of a cycle-space member is even, so as many edges as
+        # vertices makes every degree 2: a union of disjoint cycles
+        if len(edges) != vertices.bit_count():
+            continue
+        # one cycle if connected; a chord is another edge with both ends on it
+        reached = ends[edges[0]]
+        for _ in edges:
+            for e in edges:
+                if ends[e] & reached:
+                    reached |= ends[e]
+        if reached == vertices and not any(
+                ends[e] & vertices == ends[e] for e in range(len(ends)) if e not in edges):
+            found.append(edges)
+    return found
 
 
-def _independent_extension(chosen, columns) -> list:
-    """`chosen` (linearly independent) plus columns that raise the rank, in
-    order, until the rank is full."""
-    echelon = []
-    picked = []
-    for col in itertools.chain(chosen, columns):
-        v = list(col)
-        for p, e in echelon:
-            if v[p]:
-                v = [e[p] * a - v[p] * b for a, b in zip(v, e)]
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is not None:
-            echelon.append((p, v))
-            picked.append(col)
-            if len(picked) == len(col):
+class _ChordlessCycles(_DilatePruner):
+    """The pruner's tests over every chordless cycle, and a count of the
+    lattice points of [0,m]^E that `admits`.
+
+    Chordless cycles span the cycle space, so `in_lattice` is unchanged.  When
+    g has no K5 minor, Cut(g) is cut out by 0 <= x <= 1 and the odd-F
+    inequalities of its chordless cycles (Barahona-Mahjoub, "On the cut
+    polytope", Math. Prog. 36, 1986), so a lattice point of the box lies in
+    the m-th dilate exactly when `admits` holds.
+    """
+
+    def __init__(self, g):
+        super().__init__(g)
+        cycles = _chordless_cycles(g)
+        self._cycles = [itemgetter(*cyc) for cyc in cycles]
+        # the walk's edge order places the cycle with the fewest edges still
+        # unplaced next, so cycles close early and prune whole subtrees
+        order = []
+        while True:
+            unplaced = [[e for e in cyc if e not in order] for cyc in cycles]
+            unplaced = [u for u in unplaced if u]
+            if not unplaced:
                 break
-    return picked
+            order += min(unplaced, key=len)
+        position = {e: k for k, e in enumerate(order)}
+        # the cycles whose last edge in the order is at position k, each as a
+        # getter of its other edges' values
+        self._closing = [[] for _ in order]
+        for cyc in cycles:
+            last = max(position[e] for e in cyc)
+            self._closing[last].append(itemgetter(*(position[e] for e in cyc if position[e] != last)))
+        self._bridges = g.edge_count - len(order)
+
+    def count(self, m: int) -> int:
+        """Lattice points of [0,m]^E that `admits`, by a depth-first walk over
+        the cycle edges; the last one is counted, not walked."""
+        closing = self._closing
+        last = len(closing) - 1
+        values = [0] * len(closing)
+        # the values of x_k depend on the sorted rest of each cycle closing at
+        # k only, which repeats far more often than the rests themselves
+        known = {}
+
+        def options(k):
+            key = tuple([tuple(sorted(rest(values))) for rest in closing[k]])
+            found = known.get(key)
+            if found is None:
+                found = known[key] = _closing_values(key, m)
+            return found
+
+        def walk(k):
+            if k == last:
+                return len(options(k))
+            total = 0
+            for v in options(k):
+                values[k] = v
+                total += walk(k + 1)
+            return total
+
+        bridges = (m + 1) ** self._bridges
+        return bridges * walk(0) if closing else bridges
 
 
-class _Certificates:
-    """Exact proofs from earlier simplex calls that decide later points.
+# A K5 minor needs 10 edges, so a graph with at most this many has none
+K5_MINOR_FREE_EDGES = 9
 
-    A cone is the rows of D * B^-1 (D > 0) for a basis B of configuration
-    columns: z with row . z >= 0 for every row is a nonnegative combination of
-    B's columns, so z is in the dilate given by its last coordinate.  A
-    separator is a Farkas vector s with s . a <= 0 for every column a: z with
-    s . z > 0 is in no dilate.  Only the simplex makes new ones, and each is
-    checked when it is stored.
+# Lattice points per dilate that the simplex re-decides on that path
+SPOT_CHECKS = 16
+
+
+def _spot_points(cfg, m: int) -> list[tuple[int, ...]]:
+    """Up to SPOT_CHECKS lattice points of [0,m]^E, the same on every run.
+
+    Half are sums of m cut vectors, so in the dilate.  The others take a cut
+    vector's parities and raise every coordinate by an even amount that stays
+    within m, so they fall on either side.  [0,0]^E holds only the origin.
     """
-
-    def __init__(self, columns):
-        self._columns = columns
-        self._cones = []
-        self._separators = []
-
-    def in_dilate(self, z) -> bool:
-        """Whether z (last coordinate m) lies in the m-th dilate."""
-        for s in self._separators:
-            if sum(map(mul, s, z)) > 0:
-                return False
-        cones = self._cones
-        for k, cone in enumerate(cones):
-            for row in cone:
-                if sum(map(mul, row, z)) < 0:
-                    break
-            else:
-                if k:
-                    # most recently used first
-                    cones.insert(0, cones.pop(k))
-                return True
-        feasible, basis = _phase1(self._columns, z)
-        if feasible:
-            self._add_cone(basis, z)
+    if not m:
+        return [(0,) * cfg.dimension]
+    rng = random.Random(m)
+    cuts = [col[:-1] for col in cfg.columns]
+    points = {}
+    for k in range(SPOT_CHECKS):
+        if k & 1:
+            z = tuple(map(sum, zip(*rng.choices(cuts, k=m))))
         else:
-            self._add_separator(basis, z)
-        return feasible
-
-    def _add_cone(self, basis, z) -> None:
-        columns = self._columns
-        chosen = [columns[j] for j in basis if j < len(columns)]
-        cone = _scaled_inverse(_independent_extension(chosen, columns))
-        if any(sum(map(mul, row, z)) < 0 for row in cone):
-            raise VerificationError(f"feasible point {z} lies outside its basis cone")
-        self._cones.insert(0, cone)
-
-    def _add_separator(self, basis, z) -> None:
-        columns = self._columns
-        n = len(columns)
-        # row i's artificial column is the unit vector e_i, negated where
-        # _phase1 negated the row for a negative right-hand side
-        units = [tuple((-1 if z[i] < 0 else 1) * (i == k) for k in range(len(z)))
-                 for i in range(len(z))]
-        inverse = _scaled_inverse([columns[j] if j < n else units[j - n] for j in basis])
-        # phase-1 duals: the cost row (1 on artificials) times B^-1
-        s = [sum(col) for col in zip(*(row for row, j in zip(inverse, basis) if j >= n))]
-        if sum(map(mul, s, z)) <= 0 or any(sum(map(mul, s, a)) > 0 for a in columns):
-            raise VerificationError(f"phase-1 duals for {z} are not a Farkas certificate")
-        self._separators.append(s)
+            z = tuple(c + 2 * rng.randrange((m - c) // 2 + 1) for c in rng.choice(cuts))
+        points[z] = None
+    return list(points)
 
 
 def count_lattice_points(cfg, m: int) -> int:
     """|m P' intersect ZA|: integer points of the dilate lying in the column lattice.
 
-    Candidates are the lattice points of the box [0,m]^r on the slice with
-    last coordinate m; each is decided exactly: first by the cycle
-    inequalities, then by a cached cone or separator, and otherwise by the
-    phase-1 simplex, whose answer is cached as a new certificate.
+    A graph of at most K5_MINOR_FREE_EDGES edges has no K5 minor, so its count
+    is `_ChordlessCycles.count`: parity and odd-F inequalities on every
+    chordless cycle, with no simplex call.  The phase-1 simplex re-decides
+    `_spot_points` first, and any disagreement raises VerificationError.  A
+    larger graph walks the lattice points of the box and decides each one
+    that meets its fundamental cycles' inequalities by the simplex.
     """
     if m < 0:
         raise ValueError("dilate must be nonnegative")
-    pruner = _DilatePruner(cfg.graph)
-    certificates = _Certificates(cfg.columns)
-    total = 0
-    for prefix in pruner.lattice_points(m):
-        if pruner.admits(prefix, m) and certificates.in_dilate(prefix + (m,)):
-            total += 1
-    return total
+    g = cfg.graph
+    if g.edge_count > K5_MINOR_FREE_EDGES:
+        pruner = _DilatePruner(g)
+        return sum(1 for z in pruner.lattice_points(m)
+                   if pruner.admits(z, m) and _nonneg_combination_exists(cfg.columns, z + (m,)))
+    rule = _ChordlessCycles(g)
+    for z in _spot_points(cfg, m):
+        if rule.admits(z, m) != _nonneg_combination_exists(cfg.columns, z + (m,)):
+            raise VerificationError(
+                f"chordless-cycle inequalities and the simplex disagree on {z} at dilate {m}")
+    return rule.count(m)
 
 
 # Box candidates the LP route may visit over all dilates before it is refused;

@@ -240,8 +240,34 @@ PETERSEN = Graph(10, [(i, i % 5 + 1) for i in range(1, 6)]
                  + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)])
 
 
+K5 = Graph(5, list(itertools.combinations(range(1, 6), 2)))
+K5_MINUS_EDGE = Graph(5, [e for e in K5.edges if e != (4, 5)])
+PRISM = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)])
+
+
+def _plain_count(cfg, m):
+    """Lattice points of the box that the simplex puts in the m-th dilate."""
+    from cutpoly.ehrhart import _DilatePruner, _nonneg_combination_exists
+    pruner = _DilatePruner(cfg.graph)
+    return sum(1 for z in itertools.product(range(m + 1), repeat=cfg.dimension)
+               if pruner.in_lattice(z) and _nonneg_combination_exists(cfg.columns, z + (m,)))
+
+
+def _count_simplex_calls(monkeypatch):
+    """Count the calls to ehrhart._phase1 in a one-element list."""
+    calls = [0]
+    phase1 = ehrhart._phase1
+
+    def counted(columns, rhs):
+        calls[0] += 1
+        return phase1(columns, rhs)
+
+    monkeypatch.setattr(ehrhart, "_phase1", counted)
+    return calls
+
+
 def _walk_graphs():
-    """The seeded random graphs shared by the walk and certificate tests."""
+    """The seeded random graphs shared by the walk and LP-count tests."""
     rng = random.Random(1997)
     return [_random_small_graph(rng, max_edges=7) for _ in range(20)]
 
@@ -265,7 +291,8 @@ class TestLatticeWalk:
 
 
 class TestCertificates:
-    """Cached cones and separators answer for the simplex, never against it."""
+    """The LP route's counts against the simplex: per point, per dilate, and
+    through the spot check that guards the chordless-cycle count."""
 
     def test_counts_match_a_plain_per_point_count(self):
         from cutpoly.ehrhart import _DilatePruner, _nonneg_combination_exists
@@ -277,19 +304,6 @@ class TestCertificates:
                             if pruner.in_lattice(z) and pruner.admits(z, m)
                             and _nonneg_combination_exists(cfg.columns, z + (m,)))
                 assert count_lattice_points(cfg, m) == plain, (g, m)
-
-    def test_cached_answers_match_the_simplex_anywhere(self, k23_config):
-        # no walk or cycle inequalities first, so the certificates also meet
-        # points outside the lattice and the box, some with negative entries
-        from cutpoly.ehrhart import _Certificates, _nonneg_combination_exists
-        rng = random.Random(58140)
-        for cfg in (k23_config, configuration(K4)):
-            for m in (1, 2, 3):
-                certificates = _Certificates(cfg.columns)
-                for _ in range(300):
-                    z = tuple(rng.randrange(-1, m + 2) for _ in range(cfg.row_count - 1)) + (m,)
-                    assert certificates.in_dilate(z) == \
-                        _nonneg_combination_exists(cfg.columns, z), (cfg.graph, z)
 
     def test_simplex_calls_at_the_default_budget(self, monkeypatch, k23_config):
         calls = [0]
@@ -316,24 +330,64 @@ class TestCertificates:
             return not feasible, basis
 
         monkeypatch.setattr(ehrhart, "_phase1", flipped)
-        # inside 2P, and outside every dilate (odd on the 4-cycle)
-        for z in ((2, 2, 2, 2, 2), (1, 0, 0, 0, 1)):
-            with pytest.raises(VerificationError):
-                ehrhart._Certificates(c4_config.columns).in_dilate(z)
+        with pytest.raises(VerificationError, match="disagree"):
+            count_lattice_points(c4_config, 2)
 
-    def test_scaled_inverse_is_the_adjugate(self):
-        from oracles import rational_determinant
-        rng = random.Random(23)
-        for _ in range(40):
-            n = rng.randrange(1, 6)
-            matrix = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
-            det = rational_determinant(matrix)
-            if det == 0:
-                continue
-            columns = [list(col) for col in zip(*matrix)]
-            inverse = ehrhart._scaled_inverse(columns)
-            # row i against column i gives the scale, which must be |det|
-            assert sum(a * b for a, b in zip(inverse[0], columns[0])) == abs(det)
+    def test_inequality_rule_matches_the_simplex(self):
+        # every lattice point of the box, accepted or not; in K_4 and K_{2,3}
+        # some chordless cycles are not fundamental
+        from cutpoly.ehrhart import _ChordlessCycles, _chordless_cycles, \
+            _nonneg_combination_exists
+        from cutpoly.graph import fundamental_cycles
+        k23 = complete_bipartite(2, 3)
+        assert len(_chordless_cycles(K4)) == 4 > len(fundamental_cycles(K4))
+        assert len(_chordless_cycles(k23)) == 3 > len(fundamental_cycles(k23))
+        cases = [(g, 3) for g in (cycle(4), cycle(5), cycle(6), K4, k23)]
+        cases += [(g, 2) for g in _walk_graphs()]
+        for g, top in cases:
+            cfg = configuration(g)
+            rule = _ChordlessCycles(g)
+            for m in range(top + 1):
+                inside = 0
+                for z in rule.lattice_points(m):
+                    admitted = rule.admits(z, m)
+                    assert admitted == _nonneg_combination_exists(cfg.columns, z + (m,)), \
+                        (g, m, z)
+                    inside += admitted
+                assert rule.count(m) == inside, (g, m)
+
+    def test_counts_on_seven_to_nine_edges(self):
+        # the largest graphs that take the chordless-cycle count
+        from cutpoly.ehrhart import K5_MINOR_FREE_EDGES
+        for g in (complete_bipartite(2, 4), PRISM, K5_MINUS_EDGE):
+            assert 7 <= g.edge_count <= K5_MINOR_FREE_EDGES
+            cfg = configuration(g)
+            for m in range(3):
+                assert count_lattice_points(cfg, m) == _plain_count(cfg, m), (g, m)
+
+    def test_simplex_runs_only_for_the_spot_check(self, monkeypatch):
+        calls = _count_simplex_calls(monkeypatch)
+        for g, top in ((cycle(6), 7), (K4, 7), (complete_bipartite(2, 4), 4)):
+            cfg = configuration(g)
+            for m in range(top + 1):
+                calls[0] = 0
+                count_lattice_points(cfg, m)
+                assert 1 <= calls[0] <= ehrhart.SPOT_CHECKS, (g, m, calls[0])
+
+    def test_k5_takes_the_simplex(self, monkeypatch):
+        # 10 edges: the chordless cycles are the triangles, and all twos at
+        # dilate 3 meets every triangle inequality, but its sum 20 exceeds 3
+        # times the maximum cut of 6 edges
+        from cutpoly.ehrhart import _ChordlessCycles, _nonneg_combination_exists
+        cfg = configuration(K5)
+        twos = (2,) * K5.edge_count
+        assert _ChordlessCycles(K5).admits(twos, 3)
+        assert not _nonneg_combination_exists(cfg.columns, twos + (3,))
+        plain = [_plain_count(cfg, m) for m in range(3)]
+        calls = _count_simplex_calls(monkeypatch)
+        assert [count_lattice_points(cfg, m) for m in range(3)] == plain
+        # more calls than three spot checks make: each point met the simplex
+        assert calls[0] > 3 * ehrhart.SPOT_CHECKS
 
 
 class TestHstarTransforms:
