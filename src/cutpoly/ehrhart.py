@@ -130,10 +130,8 @@ def semigroup_counts(cfg, max_dilate: int | None = None) -> CountSequence:
 # route two: lattice points of the dilate
 # ---------------------------------------------------------------------------
 
-def _phase1(columns, rhs) -> tuple[bool, list[int]]:
-    """Exact feasibility of { lam >= 0 : sum_j lam_j * column_j = rhs }, and the
-    final basis: entry i is the column basic in row i, a column id below
-    len(columns) or len(columns) + i for row i's artificial.
+def _phase1(columns, rhs) -> bool:
+    """Exact feasibility of { lam >= 0 : sum_j lam_j * column_j = rhs }.
 
     Phase-1 simplex minimizing the artificial sum, with Bland's rule for
     termination.  The rational tableau is carried fraction-free: an integer
@@ -154,9 +152,11 @@ def _phase1(columns, rhs) -> tuple[bool, list[int]]:
         for j in range(ncols + 1):
             obj[j] -= row[j]
     rows.append(obj)
-    basis = [ncols + i for i in range(nrows)]  # artificial ids follow the lambda ids
+    # entry i is the column basic in row i: a column id below ncols, or
+    # ncols + i for row i's artificial
+    basis = [ncols + i for i in range(nrows)]
     if obj[ncols] == 0:
-        return True, basis
+        return True
     den = 1
     objrow = nrows
     while True:
@@ -167,7 +167,7 @@ def _phase1(columns, rhs) -> tuple[bool, list[int]]:
                 entering = j
                 break
         if entering < 0:
-            return rows[objrow][ncols] == 0, basis
+            return rows[objrow][ncols] == 0
         # ratio test over rows with positive entry in the entering column
         leave = -1
         for i in range(nrows):
@@ -200,12 +200,12 @@ def _phase1(columns, rhs) -> tuple[bool, list[int]]:
         den = pivot
         basis[leave] = entering
         if rows[objrow][ncols] == 0:
-            return True, basis
+            return True
 
 
 def _nonneg_combination_exists(columns, rhs) -> bool:
     """Exact feasibility of { lam >= 0 : sum_j lam_j * column_j = rhs }."""
-    return _phase1(columns, rhs)[0]
+    return _phase1(columns, rhs)
 
 
 def membership_in_dilate(point, cfg, m: int) -> bool:

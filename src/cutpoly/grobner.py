@@ -64,6 +64,14 @@ class PartitionMonomial:
         if tuple(sorted(self.ids)) != self.ids:
             object.__setattr__(self, "ids", tuple(sorted(self.ids)))
 
+    @classmethod
+    def _sorted(cls, n: int, ids: tuple[int, ...]) -> "PartitionMonomial":
+        """Trusted constructor for `ids` already ascending; skips the sort."""
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "n", n)
+        object.__setattr__(mono, "ids", ids)
+        return mono
+
     @property
     def degree(self) -> int:
         return len(self.ids)
@@ -382,39 +390,19 @@ def _independent_set_counts(n: int, pool: int) -> tuple[int, ...]:
     return count(pool)
 
 
-def _standard_supports(n: int, variable_class: str, degree: int | None = None):
-    """Ascending id tuples of squarefree standard monomials within
-    `variable_class`, of every degree, or only of `degree` (the walk stops
-    descending there).
-
-    The walk visits every support of degree up to `degree`; that number is
-    read from the counts before the first step and refused above
-    SQUAREFREE_WALK_LIMIT."""
+def _walk_pool(n: int, variable_class: str, degree: int | None = None) -> int:
+    """`_standard_pool` for a walk that visits every support of degree up to
+    `degree` (of every degree when None); that number is read from the counts
+    before the first step and refused above SQUAREFREE_WALK_LIMIT."""
     pool = _standard_pool(n, variable_class)
     counts = _independent_set_counts(n, pool)
     visits = sum(counts if degree is None else counts[:degree + 1])
     if visits > SQUAREFREE_WALK_LIMIT:
         raise CostGuardError(f"squarefree walk refused for n = {n}: {visits} supports "
                              f"estimated, limit {SQUAREFREE_WALK_LIMIT}")
-    bad = _conflict_masks(n)
-
-    def rec(chosen, allowed):
-        if len(chosen) == degree:
-            yield chosen
-            return
-        if degree is None:
-            yield chosen
-        a = allowed
-        while a:
-            low = a & -a
-            j = low.bit_length() - 1
-            a ^= low
-            yield from rec(chosen + (j,), a & ~bad[j])
-
-    yield from rec((), pool)
+    return pool
 
 
-@lru_cache(maxsize=None)
 def _chain_masks(n: int) -> tuple[tuple[bool, int], ...]:
     """Per variable, (splits_12, mask over {3..n}): for a split variable the
     set A' where its vertex-1 side is {1} u A', for a together variable its
@@ -425,63 +413,99 @@ def _chain_masks(n: int) -> tuple[tuple[bool, int], ...]:
         for p in variable_table(n).variables)
 
 
-def _strict_chain(masks) -> list[int] | None:
-    """`masks` ascending by size when each is a proper subset of the next,
-    else None."""
-    ordered = sorted(masks, key=int.bit_count)
-    for a, b in zip(ordered, ordered[1:]):
-        if a & ~b or a == b:
-            return None
-    return ordered
+@lru_cache(maxsize=None)
+def _chain_compatible(n: int) -> tuple[int, ...]:
+    """Per variable i, the bitmask of the variables j for which {i, j} passes
+    the nested-chain test: always across the two classes, and within one
+    class when the two sets are distinct and nested and, in the split class,
+    not {empty set, {3..n}}.  Both chain conditions are pairwise, so this
+    table decides them.  Built from `_chain_masks` alone, not from the basis."""
+    masks = _chain_masks(n)
+    rest = ((1 << n) - 1) & ~0b11
+    out = []
+    for splits_i, a in masks:
+        fits = 0
+        for j, (splits_j, b) in enumerate(masks):
+            if splits_i != splits_j or (
+                    a != b and not (a & ~b and b & ~a)
+                    and not (splits_i and {a, b} == {0, rest})):
+                fits |= 1 << j
+        out.append(fits)
+    return tuple(out)
 
 
 def chain_characterization_holds(mono: PartitionMonomial) -> bool:
     """Nested-chain test equivalent to standardness for squarefree monomials.
 
     Both variable classes must form strict inclusion chains, and the split
-    class must not stretch from the empty set to all of {3..n}.  The sets are
-    bitmasks read from a table built once per n.
+    class must not stretch from the empty set to all of {3..n}: each variable
+    must be compatible, in `_chain_compatible`, with every one before it.
     """
-    table = _chain_masks(mono.n)
-    together = []
-    split = []
+    compat = _chain_compatible(mono.n)
+    seen = 0
     for i in mono.ids:
-        splits_12, mask = table[i]
-        (split if splits_12 else together).append(mask)
-    if _strict_chain(together) is None:
-        return False
-    split = _strict_chain(split)
-    if split is None:
-        return False
-    rest = ((1 << mono.n) - 1) & ~0b11
-    return not (split and split[0] == 0 and split[-1] == rest)
+        if seen & ~compat[i]:
+            return False
+        seen |= 1 << i
+    return True
 
 
 def enumerate_squarefree_standard(n: int, k: int) -> list[PartitionMonomial]:
     """All squarefree standard monomials of degree k, ascending-id order.
 
-    The walk over the conflict graph yields them; each result is then
-    validated against the nested-chain characterization
-    (`chain_characterization_holds`), and a mismatch, which would mean the
-    generated basis and the chain description diverge, raises
-    VerificationError.
+    A walk over the basis's conflict graph.  At each node `allowed` holds the
+    next variables that form no initial monomial with the chosen ones, and
+    `fits` those chain-compatible with all of them; one mask test,
+    `allowed & ~fits == 0`, checks every child (at the last level every
+    result), and a failure, meaning the basis and the chain description
+    diverge, raises VerificationError naming the support.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
+    pool = _walk_pool(n, "all", k)
+    make = PartitionMonomial._sorted
+    if k == 0:
+        return [make(n, ())]
+    bad = _conflict_masks(n)
+    compat = _chain_compatible(n)
     out = []
-    for ids in _standard_supports(n, "all", k):
-        mono = PartitionMonomial(n, ids)
-        if not chain_characterization_holds(mono):
-            raise VerificationError(f"chain characterization failed for {ids}")
-        out.append(mono)
+
+    def walk(chosen, allowed, fits):
+        wrong = allowed & ~fits
+        if wrong:
+            j = (wrong & -wrong).bit_length() - 1
+            raise VerificationError(f"chain characterization failed for {chosen + (j,)}")
+        if len(chosen) + 1 == k:
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                out.append(make(n, chosen + (low.bit_length() - 1,)))
+            return
+        while allowed:
+            low = allowed & -allowed
+            j = low.bit_length() - 1
+            allowed ^= low
+            walk(chosen + (j,), allowed & ~bad[j], fits & compat[j])
+
+    walk((), pool, -1)
     return out
 
 
 def iter_squarefree_standard(n: int, variable_class: str = "all"):
     """Yield every squarefree standard monomial of every degree, optionally
     restricted to one variable class ('12-together' or '1-and-2-split')."""
-    for ids in _standard_supports(n, variable_class):
-        yield PartitionMonomial(n, ids)
+    pool = _walk_pool(n, variable_class)
+    bad = _conflict_masks(n)
+
+    def walk(chosen, allowed):
+        yield PartitionMonomial._sorted(n, chosen)
+        while allowed:
+            low = allowed & -allowed
+            j = low.bit_length() - 1
+            allowed ^= low
+            yield from walk(chosen + (j,), allowed & ~bad[j])
+
+    yield from walk((), pool)
 
 
 def squarefree_standard_counts(n: int, variable_class: str = "all") -> list[int]:
@@ -545,9 +569,11 @@ def count_standard_by_degree(n: int, m: int) -> int:
     A pruned walk over nondecreasing variable-id sequences: after taking
     variable j it continues over the ids >= j (j may repeat) that form no
     initial monomial with j, and counts the sequences reaching length m, so
-    each standard monomial is visited exactly once.  The guard n <= 6,
-    m <= 5 is kept from the earlier enumeration of every degree-m monomial;
-    the walk itself no longer needs it that tight.
+    each standard monomial is counted exactly once.  The count from a node
+    depends only on its candidate mask and the length left, so it is memoised
+    on that pair, and the last step counts the candidate bits at once.  The
+    guard n <= 6, m <= 5 is kept from the earlier enumeration of every
+    degree-m monomial; the walk itself no longer needs it that tight.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -557,9 +583,10 @@ def count_standard_by_degree(n: int, m: int) -> int:
         raise CostGuardError(f"standard-monomial count refused for n = {n}, m = {m}")
     bad = _conflict_masks(n)
 
+    @lru_cache(maxsize=None)
     def walk(allowed, left):
-        if not left:
-            return 1
+        if left < 2:
+            return allowed.bit_count() if left else 1
         total = 0
         a = allowed
         while a:

@@ -5,8 +5,9 @@ determinants run rational Gaussian elimination, Stirling numbers enumerate set
 partitions, lattice membership does a bounded exhaustive coefficient search,
 semigroup layers are swept as tuple sumsets, the basis-binomial oracle
 rebuilds every relation from ordered partition pairs, the chain test compares
-frozensets, and standard monomials of a degree are filtered out of all
-monomials of that degree.
+frozensets, standard monomials of a degree are filtered out of all
+monomials of that degree, and polynomials multiply by the schoolbook double
+sum.
 """
 
 from fractions import Fraction
@@ -242,3 +243,15 @@ def standard_count_by_filter(n: int, m: int) -> int:
     variables, kept when no initial monomial divides it."""
     return sum(1 for ids in itertools.combinations_with_replacement(range(len(variable_table(n))), m)
                if is_standard(PartitionMonomial(n, ids)))
+
+
+def poly_mul(a, b) -> list[int]:
+    """Coefficients of the product of two coefficient lists (index = exponent)
+    by the schoolbook double sum, trailing zeros dropped."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out

@@ -326,8 +326,7 @@ class TestCertificates:
         phase1 = ehrhart._phase1
 
         def flipped(columns, rhs):
-            feasible, basis = phase1(columns, rhs)
-            return not feasible, basis
+            return not phase1(columns, rhs)
 
         monkeypatch.setattr(ehrhart, "_phase1", flipped)
         with pytest.raises(VerificationError, match="disagree"):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import math
@@ -321,13 +322,32 @@ class TestStandardMonomials:
             assert chain_characterization_holds(mono) == chain_characterization_by_sets(mono)
 
     def test_enumeration_checks_every_result(self, monkeypatch):
-        rejected = enumerate_squarefree_standard(5, 3)[7]
-        check = grobner.chain_characterization_holds
-        monkeypatch.setattr(grobner, "chain_characterization_holds",
-                            lambda mono: mono != rejected and check(mono))
+        # clear one compatible pair (i, j) of the chain table in both
+        # directions: the walk's mask test must refuse a support holding both
+        i, j = enumerate_squarefree_standard(5, 3)[7].ids[:2]
+        compat = list(grobner._chain_compatible(5))
+        compat[i] &= ~(1 << j)
+        compat[j] &= ~(1 << i)
+        monkeypatch.setattr(grobner, "_chain_compatible", lambda n: tuple(compat))
         with pytest.raises(VerificationError) as caught:
             enumerate_squarefree_standard(5, 3)
-        assert str(caught.value) == f"chain characterization failed for {rejected.ids}"
+        message = str(caught.value)
+        prefix = "chain characterization failed for "
+        assert message.startswith(prefix)
+        support = ast.literal_eval(message[len(prefix):])
+        assert {i, j} <= set(support)
+        assert not chain_characterization_holds(PartitionMonomial(5, support))
+
+    def test_chain_table_is_the_conflict_graph_complement(self):
+        # the chain description of the quadratic basis, pair by pair: two
+        # distinct variables are chain-compatible iff no initial monomial is
+        # their product (n = 8 is beyond every enumeration test)
+        for n in range(4, 9):
+            compat = grobner._chain_compatible(n)
+            bad = grobner._conflict_masks(n)
+            everyone = (1 << len(bad)) - 1
+            for i, fits in enumerate(compat):
+                assert fits == everyone & ~bad[i] & ~(1 << i), (n, i)
 
     def test_cost_guard(self):
         with pytest.raises(CostGuardError):

@@ -1,9 +1,12 @@
+import itertools
 import math
+import random
 
 import pytest
 
 from cutpoly.errors import CostGuardError
 from cutpoly.polynomial import (
+    KRONECKER_MIN_LENGTH,
     IntPolynomial,
     eulerian,
     eulerian_by_descents,
@@ -16,7 +19,7 @@ from cutpoly.polynomial import (
     stirling2,
 )
 
-from oracles import stirling2_by_partitions
+from oracles import poly_mul, stirling2_by_partitions
 
 
 class TestArithmetic:
@@ -32,6 +35,9 @@ class TestArithmetic:
         assert (one_plus_x - one_plus_x).coeffs == ()
         assert (3 * one_plus_x).coeffs == (3, 3)
         assert (one_plus_x ** 3).coeffs == (1, 3, 3, 1)
+        # the last squarings of (1 - x)^70 pass the Kronecker crossover
+        assert (IntPolynomial([1, -1]) ** 70).coeffs == \
+            tuple((-1) ** k * math.comb(70, k) for k in range(71))
         assert one_plus_x.shifted(2).coeffs == (0, 0, 1, 1)
 
     def test_evaluate_uses_big_integers(self):
@@ -56,6 +62,82 @@ class TestArithmetic:
             "x^5 + 9x^4 + 26x^3 + 26x^2 + 9x + 1"
         assert format_polynomial(IntPolynomial([])) == "0"
         assert format_polynomial(IntPolynomial([-1, 0, 2])) == "2x^2 - 1"
+
+
+class TestProduct:
+    """`IntPolynomial.__mul__` on both sides of the Kronecker crossover, against
+    the schoolbook oracle."""
+
+    @staticmethod
+    def random_coeffs(rng, length, bound):
+        coeffs = [rng.randint(-bound, bound) for _ in range(length)]
+        coeffs[-1] = coeffs[-1] or 1
+        return coeffs
+
+    def test_seeded_signed_products(self):
+        rng = random.Random(41)
+        lengths = [1, 2, 3, KRONECKER_MIN_LENGTH - 1, KRONECKER_MIN_LENGTH,
+                   KRONECKER_MIN_LENGTH + 1, 60]
+        for bound in (1, 9, 2**31, 10**40):
+            for la, lb in itertools.product(lengths, repeat=2):
+                a = self.random_coeffs(rng, la, bound)
+                b = self.random_coeffs(rng, lb, bound)
+                expected = poly_mul(a, b)
+                assert (IntPolynomial(a) * IntPolynomial(b)).coeffs == tuple(expected), \
+                    (bound, la, lb)
+                p = IntPolynomial(a)
+                assert (p * p).coeffs == tuple(poly_mul(a, a)), (bound, la)
+
+    def test_one_sign_and_mixed_signs(self):
+        rng = random.Random(43)
+        for length in (KRONECKER_MIN_LENGTH, 60):
+            positive = [rng.randint(1, 10**40) for _ in range(length)]
+            negative = [-c for c in positive]
+            for a, b in itertools.product((positive, negative), repeat=2):
+                assert (IntPolynomial(a) * IntPolynomial(b)).coeffs == tuple(poly_mul(a, b))
+            alternating = [c if i % 2 else -c for i, c in enumerate(positive)]
+            p = IntPolynomial(alternating)
+            assert (p * p).coeffs == tuple(poly_mul(alternating, alternating))
+
+    def test_coefficients_at_the_bound(self):
+        # the middle coefficient of (M + M x + ... + M x^63)^2 is 64 M^2, the
+        # bound max|a| * max|b| * min(len) itself; for M = 2^e - 1 with
+        # e = 1 mod 4 it has 2e + 6 bits, a whole number of bytes, so only
+        # the spare sign bit keeps it in its field
+        for e in (5, 9, 33, 129):
+            top = [2**e - 1] * 64
+            bottom = [-c for c in top]
+            for a, b in ((top, top), (top, bottom), (bottom, bottom)):
+                product = IntPolynomial(a) * IntPolynomial(b)
+                assert product.coeffs == tuple(poly_mul(a, b)), e
+                assert abs(product.coeffs[63]) == 64 * (2**e - 1) ** 2
+            p = IntPolynomial(bottom)
+            assert (p * p).coeffs == tuple(poly_mul(bottom, bottom)), e
+
+    def test_zero_and_trailing_zeros(self):
+        long = [3] * 40 + [0, 0]
+        zero = IntPolynomial([0, 0, 0])
+        assert (IntPolynomial(long) * zero).coeffs == ()
+        assert (zero * IntPolynomial(long)).coeffs == ()
+        assert (zero * zero).coeffs == ()
+        # interior zeros and a zero constant term survive; a trailing zero
+        # of the input is dropped
+        gaps = [0, 5, 0, 0, -7] * 8 + [0]
+        product = IntPolynomial(gaps) * IntPolynomial(gaps)
+        assert product.coeffs == tuple(poly_mul(gaps, gaps))
+        assert product.coeffs[0] == 0 and product.coeffs[-1] != 0
+
+    def test_int_times_polynomial(self):
+        p = IntPolynomial(range(1, 50))
+        assert (3 * p).coeffs == (p * 3).coeffs == tuple(3 * c for c in range(1, 50))
+        assert (0 * p).coeffs == ()
+        assert (-(10**40) * p).coeffs == tuple(poly_mul([-(10**40)], list(range(1, 50))))
+
+    def test_closed_form_against_the_oracle(self):
+        for n in range(4, 61):
+            a = list(eulerian(n - 2).coeffs)
+            expected = poly_mul(poly_mul([1, 1], a), a)
+            assert hstar_closed_form_k2m(n).coeffs == tuple(expected), n
 
 
 class TestStirling:
