@@ -1,14 +1,16 @@
 """Dilate counting for cut-polytope configurations, by two independent routes.
 
 Route one counts degree-m semigroup elements (iterated sumsets of the
-configuration columns).  Route two counts integer points of the dilated
-polytope inside the column lattice.  A graph of at most nine edges has no K5
-minor, so there the dilate is cut out by the parity and odd-set inequalities
-of its chordless cycles (Barahona-Mahjoub), counted by a pruned walk with no
-simplex call; an exact rational phase-1 simplex re-decides a few points per
-dilate, and any disagreement raises.  A larger graph has each candidate
-decided by the simplex.  The two routes agree exactly when the toric ring is
-normal; disagreements are surfaced, never masked.
+configuration columns), each layer held as big-int bitsets over a spanning
+tree's coordinates, one per value of the closing edges.  Route two counts
+integer points of the dilated polytope inside the column lattice.  A graph
+of at most nine edges has no K5 minor, so there the dilate is cut out by the
+parity and odd-set inequalities of its chordless cycles (Barahona-Mahjoub),
+counted by a pruned walk with no simplex call; an exact rational phase-1
+simplex re-decides a few points per dilate, and any disagreement raises.  A
+larger graph has each candidate decided by the simplex.  The two routes
+agree exactly when the toric ring is normal; disagreements are surfaced,
+never masked.
 """
 
 from __future__ import annotations
@@ -74,44 +76,67 @@ class CountSequence:
 SEMIGROUP_SUM_LIMIT = 100_000_000
 
 
-def _packed_steps(columns, max_dilate: int) -> list[int]:
-    """The nonzero columns without their homogenizing row, packed into ints.
+def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
+    """|layer m| for m = 0..max_dilate, each layer a dict of big-int bitsets.
 
-    Coordinate i of a column takes bits [i*w, (i+1)*w) with w the bit length
-    of max_dilate.  A point of layer m <= max_dilate has coordinates in
-    0..max_dilate, so fields never carry and a sum of columns is one int
-    addition.  That needs 0/1 entries and an all-ones last row, checked here.
+    Columns must be 0/1 with an all-ones last row, which is dropped (it is m
+    on layer m).  The low block keeps each coordinate, in order, that raises
+    the number of distinct column patterns on those kept: for cut vectors a
+    spanning forest, whose cut polytope is a cube.  A point sets bit
+    sum_k x_k (max_dilate+1)^k, over its low coordinates x_k, of the int held
+    under a key packing its other (closing) coordinates into fields of
+    max_dilate.bit_length() bits.  Coordinates stay within 0..max_dilate, so
+    nothing carries: adding a column shifts the bitset and adds to the key.
     """
+    if max_dilate < 0:
+        raise ValueError("dilate must be nonnegative")
     for col in columns:
         if len(col) != len(columns[0]) or col[-1] != 1 or not set(col) <= {0, 1}:
             raise ValueError(f"semigroup columns must be 0/1 with last entry 1, got {col!r}")
-    width = max(1, max_dilate.bit_length())
-    packed = [sum(1 << (i * width) for i, x in enumerate(col[:-1]) if x) for col in columns]
-    if 0 not in packed:
+    points = [col[:-1] for col in columns]
+    if all(map(any, points)):
         # layer m grows from the new points of layer m-1 only because the
         # zero column makes every layer contain the one before it
         raise VerificationError("configuration has no zero column (the empty cut)")
-    return [p for p in packed if p]
-
-
-def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
-    if max_dilate < 0:
-        raise ValueError("dilate must be nonnegative")
-    steps = _packed_steps(columns, max_dilate)
-    layer = {0}
-    fresh = {0}
-    sizes = [1]
-    sums = 0
+    low, patterns, seen = [], [0] * len(points), 1
+    for i in range(len(points[0])):
+        grown = [pat << 1 | p[i] for pat, p in zip(patterns, points)]
+        if len(set(grown)) > seen:
+            low.append(i)
+            patterns, seen = grown, len(set(grown))
+    high = [i for i in range(len(points[0])) if i not in low]
+    base, width = max_dilate + 1, max(1, max_dilate.bit_length())
+    # nonzero columns as bitset shifts, grouped by their key offset
+    shifts = {}
+    for p in filter(any, points):
+        key = sum(1 << (j * width) for j, i in enumerate(high) if p[i])
+        shifts.setdefault(key, []).append(sum(base ** k for k, i in enumerate(low) if p[i]))
+    steps = sum(map(len, shifts.values()))
+    layer, fresh = {0: 1}, {0: 1}
+    sizes, born, sums = [1], 1, 0
     for m in range(1, max_dilate + 1):
         # a point new at layer m is s + c with s new at layer m-1
-        sums += len(fresh) * len(steps)
+        sums += born * steps
         if sums > SEMIGROUP_SUM_LIMIT:
             raise CostGuardError(
                 f"semigroup sumset refused at dilate {m}: {sums} sums estimated "
                 f"through this layer, over the limit {SEMIGROUP_SUM_LIMIT}")
-        fresh = {s + c for s in fresh for c in steps} - layer
-        layer |= fresh
-        sizes.append(len(layer))
+        reached = {}
+        for key, bits in fresh.items():
+            for offset, lows in shifts.items():
+                moved = 0
+                for lo in lows:
+                    moved |= bits << lo
+                reached[key + offset] = reached.get(key + offset, 0) | moved
+        fresh, born = {}, 0
+        for key, bits in reached.items():
+            held = layer.get(key, 0)
+            bits &= ~held
+            if bits:
+                fresh[key] = bits
+                layer[key] = held | bits
+                born += bits.bit_count()
+        sizes.append(sizes[-1] + born)
     return sizes
 
 

@@ -179,3 +179,12 @@ def test_criterion_10_property_suite(k23_counts):
     report(10, "Eulerian identity vs descents (n <= 9); palindromicity and "
                "h*_i >= h*_1 on every computed h*; chain-count generating "
                "identities hold exactly for 4 <= n <= 9", ok)
+
+
+def test_criterion_11_k24_by_semigroup():
+    started = time.perf_counter()
+    h, cs = hstar_polynomial(configuration(complete_bipartite(2, 4)))
+    elapsed = time.perf_counter() - started
+    ok = cs.dilate_max == 9 and h == hstar_closed_form_k2m(6) and elapsed < 10
+    report(11, "semigroup route reproduces h*(Cut(K_{2,4})) = (x+1)A_4(x)^2 "
+               f"through dilate 9 in {elapsed:.2f}s", ok)

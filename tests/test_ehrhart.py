@@ -123,6 +123,73 @@ class TestPackedSumset:
         assert str(15 * 1885) in message and str(15 * 544) in message
 
 
+def _leading_edges_close_a_cycle(g) -> bool:
+    """True iff the first n-1 edges of g are not a spanning tree."""
+    component = list(range(g.vertex_count + 1))
+    for u, v in g.edges[:g.vertex_count - 1]:
+        cu, cv = component[u], component[v]
+        if cu == cv:
+            return True
+        component = [cu if c == cv else c for c in component]
+    return False
+
+
+class TestBitsetSumset:
+    """The bitset kernel, whose low block is a spanning forest found in edge
+    order, against the plain tuple sumset oracle."""
+
+    def test_shuffled_edge_orders_match_tuple_sweep(self):
+        from oracles import sumset_layer_sizes
+        rng = random.Random(2019)
+        shuffled = closing = 0
+        for _ in range(24):
+            n = rng.randrange(3, 7)
+            labels = list(range(1, n + 1))
+            rng.shuffle(labels)
+            edges = [tuple(sorted((labels[rng.randrange(i)], labels[i]))) for i in range(1, n)]
+            extra = [e for e in itertools.combinations(range(1, n + 1), 2) if e not in edges]
+            edges += rng.sample(extra, rng.randrange(0, min(3, len(extra)) + 1))
+            rng.shuffle(edges)
+            g = Graph(n, edges)
+            shuffled += _leading_edges_close_a_cycle(g)
+            closing += g.edge_count - (n - 1) >= 2
+            M = min(5, 9 - n)
+            columns = configuration(g).columns
+            assert ehrhart._semigroup_layer_sizes(columns, M) == \
+                sumset_layer_sizes(columns, M), g.edges
+        # the sample holds graphs whose tree edges are not the leading ones
+        # and graphs with two or more closing edges
+        assert shuffled >= 4 and closing >= 4
+
+    def test_random_01_configurations_match_tuple_sweep(self):
+        # 0/1 columns that are not cut vectors: distinct low patterns, random
+        # high bits whose parities need not follow from the low ones, so a
+        # high field too narrow for max_dilate would merge distinct points
+        from oracles import sumset_layer_sizes
+        rng = random.Random(1986)
+        for _ in range(40):
+            low, high = rng.randrange(2, 4), rng.randrange(1, 4)
+            patterns = rng.sample(range(1, 1 << low), rng.randrange(2, (1 << low)))
+            columns = [(0,) * (low + high) + (1,)] + [
+                tuple([p >> i & 1 for i in range(low)]
+                      + [rng.randrange(2) for _ in range(high)] + [1])
+                for p in patterns]
+            M = rng.randrange(1, 6)
+            assert ehrhart._semigroup_layer_sizes(columns, M) == \
+                sumset_layer_sizes(columns, M), columns
+
+    def test_low_base_and_field_width_boundaries(self, c4_config, k23_config):
+        # max_dilate 1..9: low base M+1 from 2 to 10, high fields of 1 to 4
+        # bits over one closing edge (C_4) and two (K_{2,3}, whose counts are
+        # read off the closed form's h*)
+        from oracles import sumset_layer_sizes
+        c4 = sumset_layer_sizes(c4_config.columns, 9)
+        k23 = [ehrhart_from_hstar(hstar_closed_form_k2m(5), 6, m) for m in range(10)]
+        for M in range(1, 10):
+            assert ehrhart._semigroup_layer_sizes(c4_config.columns, M) == c4[:M + 1]
+            assert ehrhart._semigroup_layer_sizes(k23_config.columns, M) == k23[:M + 1]
+
+
 class TestMembershipInDilate:
     def test_vertex_dilates(self, c4_config):
         for m in (1, 2, 5):
