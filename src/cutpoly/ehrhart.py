@@ -2,7 +2,8 @@
 
 Route one counts degree-m semigroup elements (iterated sumsets of the
 configuration columns), each layer held as big-int bitsets over a spanning
-tree's coordinates, one per value of the closing edges.  Route two counts
+tree's coordinates, one per value of the closing edges; a tree coordinate
+moves into the key when the bitsets grow sparse.  Route two counts
 integer points of the dilated polytope inside the column lattice.  A graph
 of at most nine edges has no K5 minor, so there the dilate is cut out by the
 parity and odd-set inequalities of its chordless cycles (Barahona-Mahjoub),
@@ -74,6 +75,33 @@ class CountSequence:
 # Sums the new-points sweep may form over all layers before it is refused;
 # K_{2,4} at its default budget (dilate 9) forms about 42.6M.
 SEMIGROUP_SUM_LIMIT = 100_000_000
+# Bits the sweep may shift over all layers: this many per sum counted by the
+# guard, plus a fixed allowance for the sparse first layers.  Past it the
+# top spanning-forest coordinate moves from the bitsets into the keys.
+SEMIGROUP_BITS_PER_SUM = 512
+SEMIGROUP_BIT_ALLOWANCE = 1 << 26
+
+
+def _shift_groups(points, low, high, base: int, width: int) -> dict:
+    """Nonzero columns as bitset shifts, grouped by their key offset."""
+    shifts = {}
+    for p in filter(any, points):
+        key = sum(1 << (j * width) for j, i in enumerate(high) if p[i])
+        shifts.setdefault(key, []).append(sum(base ** k for k, i in enumerate(low) if p[i]))
+    return shifts
+
+
+def _split_top(table: dict, span: int, field: int) -> dict:
+    """Re-key each bitset by its top digit: the bits of digit v, below
+    `span`, go under key + v * field."""
+    out = {}
+    for key, bits in table.items():
+        while bits:
+            top = bits >> span
+            if bits ^ (top << span):
+                out[key] = bits ^ (top << span)
+            bits, key = top, key + field
+    return out
 
 
 def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
@@ -84,9 +112,12 @@ def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
     the number of distinct column patterns on those kept: for cut vectors a
     spanning forest, whose cut polytope is a cube.  A point sets bit
     sum_k x_k (max_dilate+1)^k, over its low coordinates x_k, of the int held
-    under a key packing its other (closing) coordinates into fields of
+    under a key packing its other coordinates into fields of
     max_dilate.bit_length() bits.  Coordinates stay within 0..max_dilate, so
     nothing carries: adding a column shifts the bitset and adds to the key.
+    Before each layer, while the bits it would shift pass the budget
+    (SEMIGROUP_BITS_PER_SUM, SEMIGROUP_BIT_ALLOWANCE), the top low coordinate
+    moves into the key, so sparse bitsets never outgrow the sums guarded.
     """
     if max_dilate < 0:
         raise ValueError("dilate must be nonnegative")
@@ -106,14 +137,10 @@ def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
             patterns, seen = grown, len(set(grown))
     high = [i for i in range(len(points[0])) if i not in low]
     base, width = max_dilate + 1, max(1, max_dilate.bit_length())
-    # nonzero columns as bitset shifts, grouped by their key offset
-    shifts = {}
-    for p in filter(any, points):
-        key = sum(1 << (j * width) for j, i in enumerate(high) if p[i])
-        shifts.setdefault(key, []).append(sum(base ** k for k, i in enumerate(low) if p[i]))
-    steps = sum(map(len, shifts.values()))
+    shifts = _shift_groups(points, low, high, base, width)
+    steps, reach = sum(map(len, shifts.values())), sum(map(sum, shifts.values()))
     layer, fresh = {0: 1}, {0: 1}
-    sizes, born, sums = [1], 1, 0
+    sizes, born, sums, shifted = [1], 1, 0, 0
     for m in range(1, max_dilate + 1):
         # a point new at layer m is s + c with s new at layer m-1
         sums += born * steps
@@ -121,6 +148,16 @@ def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
             raise CostGuardError(
                 f"semigroup sumset refused at dilate {m}: {sums} sums estimated "
                 f"through this layer, over the limit {SEMIGROUP_SUM_LIMIT}")
+        while True:
+            work = steps * sum(b.bit_length() for b in fresh.values()) + len(fresh) * reach
+            if not low or shifted + work <= SEMIGROUP_BITS_PER_SUM * sums + SEMIGROUP_BIT_ALLOWANCE:
+                break
+            span, field = base ** (len(low) - 1), 1 << (len(high) * width)
+            high.append(low.pop())
+            layer, fresh = _split_top(layer, span, field), _split_top(fresh, span, field)
+            shifts = _shift_groups(points, low, high, base, width)
+            reach = sum(map(sum, shifts.values()))
+        shifted += work
         reached = {}
         for key, bits in fresh.items():
             for offset, lows in shifts.items():
@@ -131,10 +168,12 @@ def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
         fresh, born = {}, 0
         for key, bits in reached.items():
             held = layer.get(key, 0)
-            bits &= ~held
+            if held:
+                bits &= ~held
             if bits:
+                # a key new to the layer shares its bitset with `fresh`
                 fresh[key] = bits
-                layer[key] = held | bits
+                layer[key] = held | bits if held else bits
                 born += bits.bit_count()
         sizes.append(sizes[-1] + born)
     return sizes

@@ -108,6 +108,16 @@ class TestHstar:
         assert out == ""
         assert str(15 * 1885) in err
 
+    def test_semigroup_cost_guard_on_wide_trees(self, capsys):
+        # C_12 and path(12) have 11 and 12 tree edges at budget 13: a bitset
+        # over the whole tree box [0,13]^11 would need 14^11 bits, so the
+        # kernel must reach the guard's dilate without building one
+        for flags, sums in ((("--cycle", "12"), 539738631), (("--path", "12"), 2176250895)):
+            code, out, err = run_cli(capsys, "hstar", *flags)
+            assert code == EXIT_COST_GUARD
+            assert out == ""
+            assert f"refused at dilate 3: {sums} sums" in err
+
     def test_lp_cost_guard(self, capsys):
         # boxes [0,m]^8 for m = 0..9 hold 167,731,333 candidates
         code, out, err = run_cli(capsys, "hstar", "--kbipartite", "2", "4", "--method", "lp")

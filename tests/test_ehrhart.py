@@ -189,6 +189,51 @@ class TestBitsetSumset:
             assert ehrhart._semigroup_layer_sizes(c4_config.columns, M) == c4[:M + 1]
             assert ehrhart._semigroup_layer_sizes(k23_config.columns, M) == k23[:M + 1]
 
+    def test_bit_budget_splits_match_tuple_sweep(self, monkeypatch):
+        # tight bit budgets move the top low coordinate into the keys before
+        # layer 1 and part-way through the sweep, re-keying layers that
+        # already hold points; the 0/1 non-cut columns also put a moved
+        # coordinate next to high fields whose parities are free
+        from oracles import sumset_layer_sizes
+        split_sizes = []
+        split_top = ehrhart._split_top
+
+        def spy(table, span, field):
+            split_sizes.append(len(table))
+            return split_top(table, span, field)
+
+        monkeypatch.setattr(ehrhart, "_split_top", spy)
+        rng = random.Random(1997)
+        configs = [configuration(g).columns for g in (
+            cycle(5), complete_bipartite(2, 3),
+            Graph(4, [(3, 4), (1, 3), (2, 4), (1, 2), (2, 3), (1, 4)]))]
+        for _ in range(6):
+            patterns = rng.sample(range(1, 8), 5)
+            configs.append([(0, 0, 0, 0, 0, 1)] + [
+                tuple([p >> i & 1 for i in range(3)]
+                      + [rng.randrange(2), rng.randrange(2), 1]) for p in patterns])
+        for per_sum, allowance in ((0, 0), (2, 64), (8, 512), (32, 4096)):
+            monkeypatch.setattr(ehrhart, "SEMIGROUP_BITS_PER_SUM", per_sum)
+            monkeypatch.setattr(ehrhart, "SEMIGROUP_BIT_ALLOWANCE", allowance)
+            for columns in configs:
+                for M in (1, 3, 5):
+                    assert ehrhart._semigroup_layer_sizes(columns, M) == \
+                        sumset_layer_sizes(columns, M), (per_sum, allowance, columns, M)
+        assert max(split_sizes) > 1
+
+    def test_one_long_bitset_moves_into_the_key(self, monkeypatch):
+        # path(1) holds one point per layer at bit m of one int, so shifting
+        # it costs m bits per sum; the budget re-keys it before dilate
+        # 20,000 and the sweep stays linear
+        splits = []
+        split_top = ehrhart._split_top
+        monkeypatch.setattr(ehrhart, "_split_top",
+                            lambda *args: splits.append(args[1]) or split_top(*args))
+        M = 20_000
+        assert ehrhart._semigroup_layer_sizes(configuration(path(1)).columns, M) == \
+            list(range(1, M + 2))
+        assert splits == [1, 1]  # the layer and its new points, once
+
 
 class TestMembershipInDilate:
     def test_vertex_dilates(self, c4_config):
