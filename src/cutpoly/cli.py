@@ -4,18 +4,16 @@ Exit codes: 0 success, 2 parse/usage error, 3 cost guard, 4 verification
 failure (disagreement between computation routes).  Reports carry a route tag
 ("semigroup", "lp", "closed-form", "gb-f-vector") on every numeric claim and
 are byte-stable for fixed inputs and flags; timing is serialized only under
---timing.
+--timing.  Building the parser imports only the graph module; each command
+imports the modules of its route when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from dataclasses import dataclass
 
-from . import ehrhart, grobner
 from .errors import CostGuardError, EdgeListParseError, VerificationError
 from .graph import (
     Graph,
@@ -26,15 +24,6 @@ from .graph import (
     path,
     read_edge_list,
 )
-from .polynomial import (
-    IntPolynomial,
-    eulerian,
-    f_to_h,
-    format_polynomial,
-    hibi_lower_bound_ok,
-    hstar_closed_form_k2m,
-    is_palindromic,
-)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -42,14 +31,17 @@ EXIT_COST_GUARD = 3
 EXIT_VERIFICATION = 4
 
 
-@dataclass
 class RunReport:
     """Deterministic result bundle rendered identically to text and JSON."""
 
-    command: str
-    data: dict
-    timing_s: float = 0.0
-    show_timing: bool = False
+    __slots__ = ("command", "data", "timing_s", "show_timing")
+
+    def __init__(self, command: str, data: dict, timing_s: float = 0.0,
+                 show_timing: bool = False):
+        self.command = command
+        self.data = data
+        self.timing_s = timing_s
+        self.show_timing = show_timing
 
     def payload(self) -> dict:
         out = {"command": self.command}
@@ -59,6 +51,7 @@ class RunReport:
         return out
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.payload(), indent=2)
 
     def to_text(self) -> str:
@@ -109,7 +102,8 @@ def _graph_from_args(args) -> tuple[Graph, dict]:
     return g, descriptor
 
 
-def _poly_entry(p: IntPolynomial, route: str) -> dict:
+def _poly_entry(p, route: str) -> dict:
+    from .polynomial import format_polynomial, hibi_lower_bound_ok, is_palindromic
     return {
         "route": route,
         "coefficients": list(p.coeffs),
@@ -133,11 +127,15 @@ def cmd_vertices(args) -> RunReport:
 
 
 def cmd_hstar(args) -> RunReport:
+    from . import ehrhart
     if args.from_counts is not None:
         for name in ("cycle", "path", "kbipartite", "edge_list"):
             if getattr(args, name) is not None:
                 raise argparse.ArgumentTypeError(
                     "--from-counts replaces the graph; drop the graph flags")
+        if args.counts_out is not None or args.max_dilate is not None:
+            raise argparse.ArgumentTypeError(
+                "--from-counts reads the counts; drop --counts-out and --max-dilate")
         with open(args.from_counts, "r", encoding="utf-8") as fh:
             cs = ehrhart.CountSequence.from_json(fh.read())
         h = ehrhart.hstar_from_counts(cs)
@@ -170,6 +168,7 @@ def cmd_hstar(args) -> RunReport:
         agree = results["semigroup"]["coefficients"] == results["lp"]["coefficients"]
         data["agreement"] = "PASS" if agree else "FAIL"
         if not agree:
+            import json
             raise VerificationError("semigroup and lp routes disagree:\n" +
                                     json.dumps(data, indent=2))
     if args.counts_out is not None:
@@ -180,6 +179,7 @@ def cmd_hstar(args) -> RunReport:
 
 
 def cmd_closed_form(args) -> RunReport:
+    from .polynomial import eulerian, format_polynomial, hstar_closed_form_k2m
     n = args.n
     if n < 4:
         raise argparse.ArgumentTypeError("closed form needs n >= 4")
@@ -196,6 +196,8 @@ def cmd_closed_form(args) -> RunReport:
 
 
 def cmd_gb(args) -> RunReport:
+    from . import grobner
+    from .polynomial import f_to_h, hstar_closed_form_k2m
     n = args.n
     if n < 4:
         raise argparse.ArgumentTypeError("cut-ideal basis needs n >= 4")
@@ -225,6 +227,7 @@ def cmd_gb(args) -> RunReport:
             raise CostGuardError(
                 f"compare refused for n = {n}: the dilate enumeration to 2n-3 = {2*n-3} "
                 "is beyond the desk-scale budget")
+        from . import ehrhart
         f = grobner.f_vector(n)
         h_gb = f_to_h(f, 2 * n - 4)
         h_closed = hstar_closed_form_k2m(n)

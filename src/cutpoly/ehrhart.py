@@ -21,27 +21,25 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import CostGuardError, VerificationError
 from .graph import fundamental_cycles
 from .polynomial import IntPolynomial, stirling2
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class CountSequence:
+class CountSequence(FrozenRecord):
     """Counts (i(P,0), ..., i(P,M)) for a d-dimensional lattice polytope."""
 
-    dimension: int
-    counts: tuple[int, ...]
+    __slots__ = ("dimension", "counts")
 
-    def __post_init__(self):
-        counts = tuple(self.counts)
-        for value in (self.dimension, *counts):
+    def __init__(self, dimension: int, counts: tuple[int, ...]):
+        counts = tuple(counts)
+        for value in (dimension, *counts):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"dimension and counts must be integers, got {value!r}")
-        object.__setattr__(self, "counts", counts)
+        super().__init__(dimension, counts)
         if self.dimension < 0:
             raise ValueError("dimension must be nonnegative")
         if not counts or counts[0] != 1:

@@ -8,9 +8,9 @@ fixes the coordinate order of every cut vector.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import EdgeListParseError, VerificationError
+from .record import FrozenRecord
 
 MAX_VERTICES = 24  # 2^(m-1) cut vectors are enumerated; keep this desk-scale
 
@@ -157,12 +157,10 @@ class Partition:
         return f"Partition({{{a}}}|{{{b}}})"
 
 
-@dataclass(frozen=True)
-class CutConfiguration:
+class CutConfiguration(FrozenRecord):
     """Matrix whose columns are the cut vectors with an appended coordinate 1."""
 
-    columns: tuple[tuple[int, ...], ...]
-    graph: Graph
+    __slots__ = ("columns", "graph")  # tuple[tuple[int, ...], ...], Graph
 
     @property
     def row_count(self) -> int:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CostGuardError, VerificationError
 from .graph import Partition, all_partitions
 from .polynomial import stirling2
+from .record import FrozenRecord
 
 
 class VariableTable:
@@ -53,23 +53,21 @@ def variable_table(n: int) -> VariableTable:
     return VariableTable(n)
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionMonomial:
+class PartitionMonomial(FrozenRecord):
     """Monomial of K[q]: variable indices ascending, repeated per exponent."""
 
-    n: int
-    ids: tuple[int, ...]
+    __slots__ = ("n", "ids")
 
-    def __post_init__(self):
-        if tuple(sorted(self.ids)) != self.ids:
-            object.__setattr__(self, "ids", tuple(sorted(self.ids)))
+    def __init__(self, n: int, ids: tuple[int, ...]):
+        _set_n(self, n)
+        _set_ids(self, tuple(sorted(ids)))
 
     @classmethod
     def _sorted(cls, n: int, ids: tuple[int, ...]) -> "PartitionMonomial":
         """Trusted constructor for `ids` already ascending; skips the sort."""
         mono = object.__new__(cls)
-        object.__setattr__(mono, "n", n)
-        object.__setattr__(mono, "ids", ids)
+        _set_n(mono, n)
+        _set_ids(mono, ids)
         return mono
 
     @property
@@ -79,6 +77,10 @@ class PartitionMonomial:
     @property
     def squarefree(self) -> bool:
         return len(set(self.ids)) == len(self.ids)
+
+
+# the slots' own setters, which a frozen record's __setattr__ does not reach
+_set_n, _set_ids = PartitionMonomial.n.__set__, PartitionMonomial.ids.__set__
 
 
 def monomial(n: int, sides) -> PartitionMonomial:
@@ -115,13 +117,10 @@ def monomial_order_cmp(a: PartitionMonomial, b: PartitionMonomial) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class CutBinomial:
+class CutBinomial(FrozenRecord):
     """Marked binomial lead - trail; lead strictly greater under the monomial order."""
 
-    family: int
-    lead: PartitionMonomial
-    trail: PartitionMonomial
+    __slots__ = ("family", "lead", "trail")  # int, PartitionMonomial, PartitionMonomial
 
 
 def _rest_subsets(n: int):

@@ -12,7 +12,7 @@ All arithmetic is exact over Python integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import FrozenRecord
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -89,12 +89,10 @@ def hnf_columns(columns) -> tuple[list[list[int]], list[int]]:
     return basis, pivots
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(FrozenRecord):
     """Basis of an integer column lattice, in column Hermite normal form."""
 
-    basis_columns: tuple[tuple[int, ...], ...]
-    pivot_rows: tuple[int, ...]
+    __slots__ = ("basis_columns", "pivot_rows")  # tuple[tuple[int, ...], ...], tuple[int, ...]
 
     @property
     def rank(self) -> int:

@@ -154,6 +154,17 @@ class TestHstar:
                              "--from-counts", str(counts_file))
         assert code == EXIT_PARSE
 
+    def test_from_counts_excludes_counting_flags(self, capsys, tmp_path):
+        counts_file = tmp_path / "counts.json"
+        counts_file.write_text('{"dimension": 1, "counts": [1, 2, 3]}')
+        target = tmp_path / "out.json"
+        for extra in (["--counts-out", str(target)], ["--max-dilate", "2"],
+                      ["--counts-out", str(target), "--max-dilate", "2"]):
+            code, out, err = run_cli(capsys, "hstar", "--from-counts", str(counts_file), *extra)
+            assert code == EXIT_PARSE, extra
+            assert out == "" and "drop --counts-out and --max-dilate" in err
+        assert not target.exists()
+
     def test_from_counts_malformed_file(self, capsys, tmp_path):
         counts_file = tmp_path / "bad.json"
         k23 = "1, 16, 117, 544, 1885, 5328, 12985"
