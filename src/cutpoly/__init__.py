@@ -12,13 +12,11 @@ importing one module, such as cutpoly.cli, does not import the others.
 _EXPORTS = {
     "errors": ("CostGuardError", "EdgeListParseError", "VerificationError"),
     "graph": ("CutConfiguration", "Graph", "Partition", "complete_bipartite",
-              "configuration", "cut_polytope_vertices", "cut_vector", "cycle", "path",
-              "tree_from_edges"),
+              "configuration", "cut_polytope_vertices", "cut_vector", "cycle", "path"),
     "lattice": ("LatticeBasis", "lattice_basis", "polytope_dimension"),
-    "ehrhart": ("CountSequence", "count_lattice_points", "ehrhart_from_hstar",
-                "hstar_from_counts", "hstar_polynomial", "membership_in_dilate",
-                "semigroup_counts"),
-    "polynomial": ("IntPolynomial", "eulerian", "eulerian_by_descents", "f_to_h",
+    "ehrhart": ("CountSequence", "count_lattice_points", "hstar_from_counts",
+                "hstar_polynomial", "membership_in_dilate", "semigroup_counts"),
+    "polynomial": ("IntPolynomial", "eulerian", "f_to_h",
                    "hstar_closed_form_k2m", "is_palindromic", "is_unimodal", "stirling2"),
     "grobner": ("CutBinomial", "PartitionMonomial", "buchberger_check",
                 "count_standard_by_degree", "count_type1", "count_type2",

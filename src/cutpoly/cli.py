@@ -136,6 +136,9 @@ def cmd_hstar(args) -> RunReport:
         if args.counts_out is not None or args.max_dilate is not None:
             raise argparse.ArgumentTypeError(
                 "--from-counts reads the counts; drop --counts-out and --max-dilate")
+        if args.method is not None:
+            raise argparse.ArgumentTypeError(
+                "--from-counts reads the counts; drop --method")
         with open(args.from_counts, "r", encoding="utf-8") as fh:
             cs = ehrhart.CountSequence.from_json(fh.read())
         h = ehrhart.hstar_from_counts(cs)
@@ -150,10 +153,11 @@ def cmd_hstar(args) -> RunReport:
         return RunReport(command="hstar", data=data)
     g, descriptor = _graph_from_args(args)
     cfg = configuration(g)
-    data = {"graph": descriptor, "method": args.method}
+    method = args.method or "semigroup"
+    data = {"graph": descriptor, "method": method}
     data["dimension"] = cfg.dimension
-    routes = ("semigroup", "lp") if args.method == "both" else (args.method,)
-    if args.method == "both":
+    routes = ("semigroup", "lp") if method == "both" else (method,)
+    if method == "both":
         # refuse the lp budget before the semigroup route does its work
         ehrhart.check_lp_cost(cfg, args.max_dilate)
     results = {}
@@ -164,7 +168,7 @@ def cmd_hstar(args) -> RunReport:
         results[route]["counts"] = list(cs.counts)
         sequences[route] = cs
     data["results"] = results
-    if args.method == "both":
+    if method == "both":
         agree = results["semigroup"]["coefficients"] == results["lp"]["coefficients"]
         data["agreement"] = "PASS" if agree else "FAIL"
         if not agree:
@@ -284,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hstar = sub.add_parser("hstar", help="h*-polynomial via dilate counting")
     _add_graph_flags(p_hstar)
     _add_output_flags(p_hstar)
-    p_hstar.add_argument("--method", choices=("semigroup", "lp", "both"),
-                         default="semigroup")
+    p_hstar.add_argument("--method", choices=("semigroup", "lp", "both"), default=None,
+                         help="counting route (default: semigroup)")
     p_hstar.add_argument("--max-dilate", type=ascii_int, default=None,
                          help="dilate budget (default: dimension + 1)")
     p_hstar.add_argument("--counts-out", metavar="FILE", default=None,

@@ -9,18 +9,17 @@ of at most nine edges has no K5 minor, so there the dilate is cut out by the
 parity and odd-set inequalities of its chordless cycles (Barahona-Mahjoub),
 counted by a pruned walk with no simplex call; an exact rational phase-1
 simplex re-decides a few points per dilate, and any disagreement raises.  A
-larger graph has each candidate decided by the simplex.  The two routes
+larger graph takes the same walk over its fundamental cycles, and the simplex
+decides each walked point.  The two routes
 agree exactly when the toric ring is normal; disagreements are surfaced,
 never masked.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
-from collections import Counter
 from operator import itemgetter
 
 from .errors import CostGuardError, VerificationError
@@ -265,11 +264,6 @@ def _phase1(columns, rhs) -> bool:
             return True
 
 
-def _nonneg_combination_exists(columns, rhs) -> bool:
-    """Exact feasibility of { lam >= 0 : sum_j lam_j * column_j = rhs }."""
-    return _phase1(columns, rhs)
-
-
 def membership_in_dilate(point, cfg, m: int) -> bool:
     """True iff `point` is a nonnegative rational combination of columns summing to m.
 
@@ -287,7 +281,7 @@ def membership_in_dilate(point, cfg, m: int) -> bool:
         raise ValueError("dilate must be nonnegative")
     if point[-1] != m:
         raise ValueError(f"last coordinate {point[-1]} must equal the dilate {m}")
-    return _nonneg_combination_exists(columns, point)
+    return _phase1(columns, point)
 
 
 def _closing_range(rest, m: int) -> tuple[int, int]:
@@ -327,68 +321,6 @@ def _closing_values(rests, m: int) -> range:
     return range(lo + ((lo ^ parities.pop()) & 1), hi + 1, 2)
 
 
-class _DilatePruner:
-    """Lattice membership and cheap necessary conditions for the dilate, per cycle.
-
-    Every cut vector meets a cycle in an even edge set.  So the column lattice
-    is L x Z, with L the integer vectors of even sum on every fundamental
-    cycle: 2 e_uv = delta({u}) + delta({v}) - delta({u,v}) puts 2Z^E in it, and
-    modulo 2 the cut vectors span the cut space (Deza-Laurent, *Geometry of
-    Cuts and Metrics*, 1997).  That is `in_lattice`; `lattice_points` walks
-    the lattice points of the box [0,m]^r without testing any other point.
-
-    `admits` tests each fundamental cycle's odd-F inequalities
-    (`_closing_range`) on a point of the box: violations are outside the
-    dilate.
-    """
-
-    def __init__(self, g):
-        cycles = fundamental_cycles(g)
-        # a cycle of a simple graph has at least 3 edges, so each getter
-        # returns the tuple of the cycle's coordinates
-        self._cycles = [itemgetter(*cyc) for cyc in cycles]
-        # each cycle closes on an edge of no other fundamental cycle (its
-        # non-tree edge always qualifies); the other edges are free
-        on_cycles = Counter(e for cyc in cycles for e in cyc)
-        closing = [next(e for e in cyc if on_cycles[e] == 1) for cyc in cycles]
-        free = [e for e in range(g.edge_count) if e not in closing]
-        # a walk point lists the free coordinates, then the closing ones
-        position = {e: k for k, e in enumerate(free + closing)}
-        self._free_count = len(free)
-        # each cycle without its closing edge holds free coordinates only
-        self._rests = [[position[e] for e in cyc if e != c] for cyc, c in zip(cycles, closing)]
-        self._positions = [position[e] for e in range(g.edge_count)]
-
-    def in_lattice(self, z) -> bool:
-        """True iff z lies in the column lattice; its last coordinate is free."""
-        return all(not sum(cyc(z)) & 1 for cyc in self._cycles)
-
-    def admits(self, z, m: int) -> bool:
-        for cyc in self._cycles:
-            x, *rest = cyc(z)
-            lo, hi = _closing_range(rest, m)
-            if not lo <= x <= hi:
-                return False
-        return True
-
-    def lattice_points(self, m: int):
-        """The points of [0,m]^r that `in_lattice` accepts, each once.
-
-        Free coordinates range over 0..m; a closing coordinate steps by 2 from
-        the parity of the rest of its cycle, which holds free edges only.
-        """
-        if not self._rests:
-            # a tree: every box point is in the lattice
-            yield from itertools.product(range(m + 1), repeat=self._free_count)
-            return
-        # a graph with a cycle has at least 3 edges, so this returns tuples
-        to_edge_order = itemgetter(*self._positions)
-        for free in itertools.product(range(m + 1), repeat=self._free_count):
-            closers = [range(sum(free[k] for k in rest) & 1, m + 1, 2) for rest in self._rests]
-            for closed in itertools.product(*closers):
-                yield to_edge_order(free + closed)
-
-
 def _chordless_cycles(g) -> list[list[int]]:
     """The chordless cycles of g as sorted edge-index lists.
 
@@ -424,20 +356,26 @@ def _chordless_cycles(g) -> list[list[int]]:
     return found
 
 
-class _ChordlessCycles(_DilatePruner):
-    """The pruner's tests over every chordless cycle, and a count of the
-    lattice points of [0,m]^E that `admits`.
+class _CycleWalk:
+    """The lattice points of [0,m]^E that meet a family of cycles' parity and
+    odd-F inequalities, walked edge by edge.
 
-    Chordless cycles span the cycle space, so `in_lattice` is unchanged.  When
-    g has no K5 minor, Cut(g) is cut out by 0 <= x <= 1 and the odd-F
-    inequalities of its chordless cycles (Barahona-Mahjoub, "On the cut
-    polytope", Math. Prog. 36, 1986), so a lattice point of the box lies in
-    the m-th dilate exactly when `admits` holds.
+    Every cut vector meets a cycle in an even edge set.  So the column lattice
+    is L x Z, with L the integer vectors of even sum on every cycle of a family
+    spanning the cycle space, such as the fundamental or the chordless cycles:
+    2 e_uv = delta({u}) + delta({v}) - delta({u,v}) puts 2Z^E in it, and modulo
+    2 the cut vectors span the cut space (Deza-Laurent, *Geometry of Cuts and
+    Metrics*, 1997).  That is `in_lattice`.  `admits` tests each cycle's odd-F
+    inequalities (`_closing_range`): a point that fails one is outside the
+    dilate.  When g has no K5 minor and the family is every chordless cycle,
+    Cut(g) is cut out by 0 <= x <= 1 and those inequalities (Barahona-Mahjoub,
+    "On the cut polytope", Math. Prog. 36, 1986), so a lattice point of the
+    box lies in the m-th dilate exactly when `admits` holds.
     """
 
-    def __init__(self, g):
-        super().__init__(g)
-        cycles = _chordless_cycles(g)
+    def __init__(self, g, cycles):
+        # a cycle of a simple graph has at least 3 edges, so each getter here
+        # and in `_closing` returns a tuple
         self._cycles = [itemgetter(*cyc) for cyc in cycles]
         # the walk's edge order places the cycle with the fewest edges still
         # unplaced next, so cycles close early and prune whole subtrees
@@ -455,14 +393,34 @@ class _ChordlessCycles(_DilatePruner):
         for cyc in cycles:
             last = max(position[e] for e in cyc)
             self._closing[last].append(itemgetter(*(position[e] for e in cyc if position[e] != last)))
+        # an edge on no cycle is a bridge: the walk holds it at 0, read from
+        # the slot past the walked edges
         self._bridges = g.edge_count - len(order)
+        self._positions = [position.get(e, len(order)) for e in range(g.edge_count)]
 
-    def count(self, m: int) -> int:
+    def in_lattice(self, z) -> bool:
+        """True iff z lies in the column lattice; its last coordinate is free."""
+        return all(not sum(cyc(z)) & 1 for cyc in self._cycles)
+
+    def admits(self, z, m: int) -> bool:
+        for cyc in self._cycles:
+            x, *rest = cyc(z)
+            lo, hi = _closing_range(rest, m)
+            if not lo <= x <= hi:
+                return False
+        return True
+
+    def count(self, m: int, decide=None) -> int:
         """Lattice points of [0,m]^E that `admits`, by a depth-first walk over
-        the cycle edges; the last one is counted, not walked."""
+        the cycle edges; the last one is counted, not walked.
+
+        Given `decide`, every point is walked instead, its bridges at 0, and
+        counted when `decide` accepts it (a tuple in edge order).  Either way
+        each bridge multiplies the count by m+1.
+        """
         closing = self._closing
         last = len(closing) - 1
-        values = [0] * len(closing)
+        values = [0] * (len(closing) + 1)
         # the values of x_k depend on the sorted rest of each cycle closing at
         # k only, which repeats far more often than the rests themselves
         known = {}
@@ -475,16 +433,17 @@ class _ChordlessCycles(_DilatePruner):
             return found
 
         def walk(k):
-            if k == last:
+            if k == last and decide is None:
                 return len(options(k))
+            if k > last:
+                return 1 if decide is None else decide(tuple([values[p] for p in self._positions]))
             total = 0
             for v in options(k):
                 values[k] = v
                 total += walk(k + 1)
             return total
 
-        bridges = (m + 1) ** self._bridges
-        return bridges * walk(0) if closing else bridges
+        return (m + 1) ** self._bridges * walk(0)
 
 
 # A K5 minor needs 10 edges, so a graph with at most this many has none
@@ -519,22 +478,21 @@ def count_lattice_points(cfg, m: int) -> int:
     """|m P' intersect ZA|: integer points of the dilate lying in the column lattice.
 
     A graph of at most K5_MINOR_FREE_EDGES edges has no K5 minor, so its count
-    is `_ChordlessCycles.count`: parity and odd-F inequalities on every
-    chordless cycle, with no simplex call.  The phase-1 simplex re-decides
-    `_spot_points` first, and any disagreement raises VerificationError.  A
-    larger graph walks the lattice points of the box and decides each one
-    that meets its fundamental cycles' inequalities by the simplex.
+    is `_CycleWalk.count` over every chordless cycle, with no simplex call.
+    The phase-1 simplex re-decides `_spot_points` first, and any disagreement
+    raises VerificationError.  A larger graph walks its fundamental cycles
+    (the chordless ones would take 2^c XORs to find) and the simplex decides
+    each walked point.
     """
     if m < 0:
         raise ValueError("dilate must be nonnegative")
     g = cfg.graph
     if g.edge_count > K5_MINOR_FREE_EDGES:
-        pruner = _DilatePruner(g)
-        return sum(1 for z in pruner.lattice_points(m)
-                   if pruner.admits(z, m) and _nonneg_combination_exists(cfg.columns, z + (m,)))
-    rule = _ChordlessCycles(g)
+        return _CycleWalk(g, fundamental_cycles(g)).count(
+            m, lambda z: _phase1(cfg.columns, z + (m,)))
+    rule = _CycleWalk(g, _chordless_cycles(g))
     for z in _spot_points(cfg, m):
-        if rule.admits(z, m) != _nonneg_combination_exists(cfg.columns, z + (m,)):
+        if rule.admits(z, m) != _phase1(cfg.columns, z + (m,)):
             raise VerificationError(
                 f"chordless-cycle inequalities and the simplex disagree on {z} at dilate {m}")
     return rule.count(m)
@@ -606,15 +564,6 @@ def hstar_from_counts(cs: CountSequence) -> IntPolynomial:
             raise VerificationError(
                 f"transform of count at dilate {i} is {value}, expected 0; counts inconsistent")
     return IntPolynomial(coeffs)
-
-
-def ehrhart_from_hstar(h: IntPolynomial, d: int, m: int) -> int:
-    """i(P, m) from h*: sum_i h*_i C(m+d-i, d); exact inverse of hstar_from_counts."""
-    if h.degree > d:
-        raise ValueError(f"h* degree {h.degree} exceeds dimension {d}")
-    if m < 0:
-        raise ValueError("dilate must be nonnegative")
-    return sum(h.coefficient(i) * math.comb(m + d - i, d) for i in range(d + 1))
 
 
 def hstar_polynomial(cfg, method: str = "semigroup",

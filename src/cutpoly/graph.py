@@ -245,18 +245,6 @@ def path(edge_count: int) -> Graph:
     return Graph(edge_count + 1, [(i, i + 1) for i in range(1, edge_count + 1)])
 
 
-def tree_from_edges(edges) -> Graph:
-    """Tree from an explicit edge list; vertex count is the largest label."""
-    edges = [tuple(e) for e in edges]
-    if not edges:
-        raise ValueError("tree needs at least one edge")
-    m = max(max(e) for e in edges)
-    g = Graph(m, edges)  # connectivity checked here
-    if g.edge_count != m - 1:
-        raise ValueError("edge list is connected but not acyclic")
-    return g
-
-
 def fundamental_cycles(g: Graph) -> list[list[int]]:
     """Edge-index cycles from a BFS spanning tree rooted at vertex 1.
 

@@ -251,10 +251,14 @@ def reduce(poly, gb) -> dict[PartitionMonomial, int]:
     rewrite strictly decreases the term in the monomial order, so the loop
     terminates; the result has no term divisible by any lead.
     """
+    return _reduce(poly, {b.lead.ids: b for b in gb})
+
+
+def _reduce(poly, lead_map) -> dict[PartitionMonomial, int]:
+    """`reduce` against a basis given as a map from each lead's ids to its binomial."""
     if isinstance(poly, PartitionMonomial):
         poly = {poly: 1}
     terms = {m: c for m, c in poly.items() if c}
-    lead_map = {b.lead.ids: b for b in gb}
     while True:
         best = None
         best_binom = None
@@ -304,6 +308,7 @@ def buchberger_check(n: int) -> tuple[bool, dict]:
     if n > 6:
         raise CostGuardError(f"Buchberger check refused for n = {n} (2^{n-1} variables)")
     gb = generate_gb(n)
+    lead_map = {b.lead.ids: b for b in gb}
     skipped = 0
     reduced = 0
     failures = []
@@ -314,7 +319,7 @@ def buchberger_check(n: int) -> tuple[bool, dict]:
         if not set(ga.lead.ids) & set(gb_.lead.ids):
             skipped += 1
             continue
-        normal_form = reduce(s_polynomial(ga, gb_), gb)
+        normal_form = _reduce(s_polynomial(ga, gb_), lead_map)
         reduced += 1
         if normal_form:
             failures.append({

@@ -1,18 +1,15 @@
 """Exact univariate integer polynomials and the combinatorial polynomials built on them.
 
 Covers dense big-integer polynomial arithmetic, Stirling numbers of the second
-kind, Eulerian polynomials (by recurrence and by descent enumeration), the
-f-polynomial to h-polynomial transform, and the closed-form h*-polynomial
-(x+1) * A_{n-2}(x)^2 of cut polytopes of K_{2,n-2}.
+kind, Eulerian polynomials by recurrence, the f-polynomial to h-polynomial
+transform, and the closed-form h*-polynomial (x+1) * A_{n-2}(x)^2 of cut
+polytopes of K_{2,n-2}.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
-
-from .errors import CostGuardError
 
 
 # Shortest operand at which `IntPolynomial.__mul__` multiplies by Kronecker
@@ -229,19 +226,6 @@ def eulerian(n: int) -> IntPolynomial:
         padded = [0] + row + [0]
         row = [(k + 1) * padded[k + 1] + (j - k) * padded[k] for k in range(j)]
     return IntPolynomial(row)
-
-
-def eulerian_by_descents(n: int) -> IntPolynomial:
-    """Descent-count enumeration over all n! permutations; oracle for eulerian()."""
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    if n > 10:
-        raise CostGuardError(f"descent enumeration over {n}! permutations refused")
-    counts = [0] * n
-    for w in itertools.permutations(range(n)):
-        descents = sum(1 for i in range(n - 1) if w[i] > w[i + 1])
-        counts[descents] += 1
-    return IntPolynomial(counts)
 
 
 def f_to_h(f_coeffs, d: int) -> IntPolynomial:

@@ -3,6 +3,8 @@
 Everything here deliberately avoids the library's own algorithms: ranks and
 determinants run rational Gaussian elimination, Stirling numbers enumerate set
 partitions, lattice membership does a bounded exhaustive coefficient search,
+Eulerian polynomials count descents over all permutations, dilate counts are
+read back off an h*-polynomial, trees are built from explicit edge lists,
 semigroup layers are swept as tuple sumsets, the basis-binomial oracle
 rebuilds every relation from ordered partition pairs, the chain test compares
 frozensets, standard monomials of a degree are filtered out of all
@@ -12,8 +14,12 @@ sum.
 
 from fractions import Fraction
 import itertools
+import math
 
+from cutpoly.errors import CostGuardError
+from cutpoly.graph import Graph
 from cutpoly.grobner import PartitionMonomial, is_standard, variable_table
+from cutpoly.polynomial import IntPolynomial
 
 
 def rational_rank(columns) -> int:
@@ -85,6 +91,40 @@ def stirling2_by_partitions(n: int, k: int) -> int:
         return total
 
     return rec(1, [])
+
+
+def eulerian_by_descents(n: int) -> IntPolynomial:
+    """Descent-count enumeration over all n! permutations; oracle for eulerian()."""
+    if n < 1:
+        raise ValueError("needs n >= 1")
+    if n > 10:
+        raise CostGuardError(f"descent enumeration over {n}! permutations refused")
+    counts = [0] * n
+    for w in itertools.permutations(range(n)):
+        descents = sum(1 for i in range(n - 1) if w[i] > w[i + 1])
+        counts[descents] += 1
+    return IntPolynomial(counts)
+
+
+def ehrhart_from_hstar(h: IntPolynomial, d: int, m: int) -> int:
+    """i(P, m) from h*: sum_i h*_i C(m+d-i, d); exact inverse of hstar_from_counts."""
+    if h.degree > d:
+        raise ValueError(f"h* degree {h.degree} exceeds dimension {d}")
+    if m < 0:
+        raise ValueError("dilate must be nonnegative")
+    return sum(h.coefficient(i) * math.comb(m + d - i, d) for i in range(d + 1))
+
+
+def tree_from_edges(edges) -> Graph:
+    """Tree from an explicit edge list; vertex count is the largest label."""
+    edges = [tuple(e) for e in edges]
+    if not edges:
+        raise ValueError("tree needs at least one edge")
+    m = max(max(e) for e in edges)
+    g = Graph(m, edges)  # connectivity checked here
+    if g.edge_count != m - 1:
+        raise ValueError("edge list is connected but not acyclic")
+    return g
 
 
 def sumset_layer_sizes(columns, max_dilate: int) -> list[int]:

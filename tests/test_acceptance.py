@@ -30,14 +30,13 @@ from cutpoly.grobner import (
 from cutpoly.polynomial import (
     IntPolynomial,
     eulerian,
-    eulerian_by_descents,
     f_to_h,
     hibi_lower_bound_ok,
     hstar_closed_form_k2m,
     is_palindromic,
 )
 
-from oracles import pattern_split
+from oracles import eulerian_by_descents, pattern_split
 from test_grobner import canonical_binomial_set, listed_n5_canonical
 
 

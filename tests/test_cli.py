@@ -165,6 +165,17 @@ class TestHstar:
             assert out == "" and "drop --counts-out and --max-dilate" in err
         assert not target.exists()
 
+    def test_from_counts_refuses_method(self, capsys, tmp_path):
+        # the counts file names no route, so an explicit --method, even the
+        # default one, is refused rather than ignored
+        counts_file = tmp_path / "counts.json"
+        counts_file.write_text('{"dimension": 1, "counts": [1, 2, 3]}')
+        for method in ("semigroup", "lp", "both"):
+            code, out, err = run_cli(capsys, "hstar", "--from-counts", str(counts_file),
+                                     "--method", method)
+            assert code == EXIT_PARSE, method
+            assert out == "" and "drop --method" in err
+
     def test_from_counts_malformed_file(self, capsys, tmp_path):
         counts_file = tmp_path / "bad.json"
         k23 = "1, 16, 117, 544, 1885, 5328, 12985"

@@ -8,7 +8,6 @@ from cutpoly.errors import CostGuardError, VerificationError
 from cutpoly.ehrhart import (
     CountSequence,
     count_lattice_points,
-    ehrhart_from_hstar,
     hstar_from_counts,
     hstar_polynomial,
     lattice_point_counts,
@@ -21,6 +20,7 @@ from cutpoly.graph import (
     complete_bipartite,
     configuration,
     cycle,
+    fundamental_cycles,
     path,
 )
 from cutpoly.lattice import lattice_basis
@@ -31,6 +31,8 @@ from cutpoly.polynomial import (
     hstar_closed_form_k2m,
     is_palindromic,
 )
+
+from oracles import ehrhart_from_hstar
 
 
 class TestCountSequence:
@@ -282,7 +284,6 @@ class TestMembershipInDilate:
             membership_in_dilate((True, True, 0, 0, 1), c4_config, 1)
 
     def test_simplex_against_fraction_oracle(self, c4_config, k23_config):
-        from cutpoly.ehrhart import _nonneg_combination_exists
         from oracles import fraction_simplex_feasible
         rng = random.Random(41)
         for cfg in (c4_config, k23_config):
@@ -290,7 +291,7 @@ class TestMembershipInDilate:
             for _ in range(120):
                 m = rng.randrange(0, 4)
                 point = tuple(rng.randrange(0, m + 1) for _ in range(r - 1)) + (m,)
-                assert _nonneg_combination_exists(cfg.columns, point) == \
+                assert ehrhart._phase1(cfg.columns, point) == \
                     fraction_simplex_feasible(cfg.columns, point), point
 
 
@@ -332,18 +333,16 @@ class TestLatticePointCounts:
 
     def test_pruner_only_rejects_infeasible_points(self, k23_config):
         # every point the cycle-inequality pruner drops must fail the exact test
-        import itertools
-        from cutpoly.ehrhart import _DilatePruner, _nonneg_combination_exists
         k4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
         cases = [configuration(cycle(4)), configuration(cycle(5)), configuration(cycle(6)),
                  k23_config, configuration(k4)]
         for cfg in cases:
-            pruner = _DilatePruner(cfg.graph)
+            walk = ehrhart._CycleWalk(cfg.graph, fundamental_cycles(cfg.graph))
             r = cfg.row_count - 1
             for m in (1, 2):
                 for prefix in itertools.product(range(m + 1), repeat=r):
-                    if not pruner.admits(prefix, m):
-                        assert not _nonneg_combination_exists(cfg.columns, prefix + (m,))
+                    if not walk.admits(prefix, m):
+                        assert not ehrhart._phase1(cfg.columns, prefix + (m,))
 
 
 K4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
@@ -359,10 +358,9 @@ PRISM = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5)
 
 def _plain_count(cfg, m):
     """Lattice points of the box that the simplex puts in the m-th dilate."""
-    from cutpoly.ehrhart import _DilatePruner, _nonneg_combination_exists
-    pruner = _DilatePruner(cfg.graph)
+    walk = ehrhart._CycleWalk(cfg.graph, fundamental_cycles(cfg.graph))
     return sum(1 for z in itertools.product(range(m + 1), repeat=cfg.dimension)
-               if pruner.in_lattice(z) and _nonneg_combination_exists(cfg.columns, z + (m,)))
+               if walk.in_lattice(z) and ehrhart._phase1(cfg.columns, z + (m,)))
 
 
 def _count_simplex_calls(monkeypatch):
@@ -385,21 +383,29 @@ def _walk_graphs():
 
 
 class TestLatticeWalk:
-    """The walk over lattice points, against the box filtered by cycle parity."""
+    """The walk over lattice points, against the box filtered by cycle parity
+    and the cycles' odd-F inequalities."""
 
     def test_walk_is_the_box_filtered_by_in_lattice(self):
-        from cutpoly.ehrhart import _DilatePruner
+        # the walk over fundamental cycles that a graph of 10 or more edges
+        # takes: each point once, bridges at 0, and (m+1)^bridges times the
+        # walked points counted
         cases = [(g, 3) for g in (cycle(4), cycle(5), K4, complete_bipartite(2, 3))]
         cases.append((PETERSEN, 1))
         cases += [(g, 3) for g in _walk_graphs()]
         for g, top in cases:
-            pruner = _DilatePruner(g)
+            walk = ehrhart._CycleWalk(g, fundamental_cycles(g))
+            on_cycles = {e for cyc in fundamental_cycles(g) for e in cyc}
             for m in range(top + 1):
-                walked = list(pruner.lattice_points(m))
+                walked = []
+                counted = walk.count(m, decide=lambda z: walked.append(z) or True)
                 box = [z for z in itertools.product(range(m + 1), repeat=g.edge_count)
-                       if pruner.in_lattice(z)]
+                       if walk.in_lattice(z) and walk.admits(z, m)]
+                assert counted == len(box), (g, m)
                 assert len(walked) == len(set(walked)), (g, m)
-                assert set(walked) == set(box), (g, m)
+                assert set(walked) == {z for z in box
+                                       if not any(z[e] for e in range(g.edge_count)
+                                                  if e not in on_cycles)}, (g, m)
 
 
 class TestCertificates:
@@ -407,14 +413,13 @@ class TestCertificates:
     through the spot check that guards the chordless-cycle count."""
 
     def test_counts_match_a_plain_per_point_count(self):
-        from cutpoly.ehrhart import _DilatePruner, _nonneg_combination_exists
         for g in _walk_graphs() + [K4, cycle(5), complete_bipartite(2, 3)]:
             cfg = configuration(g)
-            pruner = _DilatePruner(g)
+            walk = ehrhart._CycleWalk(g, fundamental_cycles(g))
             for m in range(5):
                 plain = sum(1 for z in itertools.product(range(m + 1), repeat=g.edge_count)
-                            if pruner.in_lattice(z) and pruner.admits(z, m)
-                            and _nonneg_combination_exists(cfg.columns, z + (m,)))
+                            if walk.in_lattice(z) and walk.admits(z, m)
+                            and ehrhart._phase1(cfg.columns, z + (m,)))
                 assert count_lattice_points(cfg, m) == plain, (g, m)
 
     def test_simplex_calls_at_the_default_budget(self, monkeypatch, k23_config):
@@ -447,23 +452,21 @@ class TestCertificates:
     def test_inequality_rule_matches_the_simplex(self):
         # every lattice point of the box, accepted or not; in K_4 and K_{2,3}
         # some chordless cycles are not fundamental
-        from cutpoly.ehrhart import _ChordlessCycles, _chordless_cycles, \
-            _nonneg_combination_exists
-        from cutpoly.graph import fundamental_cycles
         k23 = complete_bipartite(2, 3)
-        assert len(_chordless_cycles(K4)) == 4 > len(fundamental_cycles(K4))
-        assert len(_chordless_cycles(k23)) == 3 > len(fundamental_cycles(k23))
+        assert len(ehrhart._chordless_cycles(K4)) == 4 > len(fundamental_cycles(K4))
+        assert len(ehrhart._chordless_cycles(k23)) == 3 > len(fundamental_cycles(k23))
         cases = [(g, 3) for g in (cycle(4), cycle(5), cycle(6), K4, k23)]
         cases += [(g, 2) for g in _walk_graphs()]
         for g, top in cases:
             cfg = configuration(g)
-            rule = _ChordlessCycles(g)
+            rule = ehrhart._CycleWalk(g, ehrhart._chordless_cycles(g))
             for m in range(top + 1):
                 inside = 0
-                for z in rule.lattice_points(m):
+                for z in itertools.product(range(m + 1), repeat=g.edge_count):
+                    if not rule.in_lattice(z):
+                        continue
                     admitted = rule.admits(z, m)
-                    assert admitted == _nonneg_combination_exists(cfg.columns, z + (m,)), \
-                        (g, m, z)
+                    assert admitted == ehrhart._phase1(cfg.columns, z + (m,)), (g, m, z)
                     inside += admitted
                 assert rule.count(m) == inside, (g, m)
 
@@ -475,6 +478,27 @@ class TestCertificates:
             cfg = configuration(g)
             for m in range(3):
                 assert count_lattice_points(cfg, m) == _plain_count(cfg, m), (g, m)
+
+    def test_closed_form_count_matches_the_simplex_on_every_walked_point(self):
+        # the chordless-cycle count, its last edge counted in closed form,
+        # against the same walk with the simplex deciding each point
+        graphs = _walk_graphs() + [cycle(5), K4, complete_bipartite(2, 3),
+                                   complete_bipartite(2, 4), PRISM, K5_MINUS_EDGE]
+        for g in graphs:
+            cfg = configuration(g)
+            rule = ehrhart._CycleWalk(g, ehrhart._chordless_cycles(g))
+            for m in range(4):
+                decided = rule.count(m, lambda z: ehrhart._phase1(cfg.columns, z + (m,)))
+                assert rule.count(m) == decided, (g, m)
+
+    def test_bridges_on_ten_or_more_edges(self):
+        # K_{3,3} and a pendant edge: the simplex decides each walked point,
+        # and the pendant edge, held at 0, multiplies the count by m+1
+        g = Graph(7, list(complete_bipartite(3, 3).edges) + [(6, 7)])
+        assert g.edge_count > ehrhart.K5_MINOR_FREE_EDGES
+        cfg = configuration(g)
+        for m in range(3):
+            assert count_lattice_points(cfg, m) == _plain_count(cfg, m), m
 
     def test_simplex_runs_only_for_the_spot_check(self, monkeypatch):
         calls = _count_simplex_calls(monkeypatch)
@@ -489,11 +513,10 @@ class TestCertificates:
         # 10 edges: the chordless cycles are the triangles, and all twos at
         # dilate 3 meets every triangle inequality, but its sum 20 exceeds 3
         # times the maximum cut of 6 edges
-        from cutpoly.ehrhart import _ChordlessCycles, _nonneg_combination_exists
         cfg = configuration(K5)
         twos = (2,) * K5.edge_count
-        assert _ChordlessCycles(K5).admits(twos, 3)
-        assert not _nonneg_combination_exists(cfg.columns, twos + (3,))
+        assert ehrhart._CycleWalk(K5, ehrhart._chordless_cycles(K5)).admits(twos, 3)
+        assert not ehrhart._phase1(cfg.columns, twos + (3,))
         plain = [_plain_count(cfg, m) for m in range(3)]
         calls = _count_simplex_calls(monkeypatch)
         assert [count_lattice_points(cfg, m) for m in range(3)] == plain

@@ -16,8 +16,9 @@ from cutpoly.graph import (
     parse_edge_list,
     path,
     read_edge_list,
-    tree_from_edges,
 )
+
+from oracles import tree_from_edges
 
 # the eight cut vectors of the 4-cycle with edges {1,2},{2,3},{3,4},{1,4}
 C4_VERTICES = {

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from cutpoly.ehrhart import _DilatePruner
-from cutpoly.graph import Graph, complete_bipartite, configuration, path
+from cutpoly.ehrhart import _CycleWalk
+from cutpoly.graph import Graph, complete_bipartite, configuration, fundamental_cycles, path
 from cutpoly.lattice import (
     hnf_columns,
     lattice_basis,
@@ -151,7 +151,7 @@ class TestCutLatticeFromGraph:
             cfg = configuration(g)
             basis = lattice_basis(cfg)
             assert basis.rank - 1 == cfg.dimension, g
-            pruner = _DilatePruner(g)
+            walk = _CycleWalk(g, fundamental_cycles(g))
             cols = cfg.columns
             for _ in range(200):
                 # a random point, and a lattice point with one coordinate
@@ -162,4 +162,4 @@ class TestCutLatticeFromGraph:
                 combo[rng.randrange(len(combo))] += rng.randrange(0, 2)
                 combo[-1] = rng.randrange(-4, 5)
                 for point in (z, combo):
-                    assert basis.contains(point) == pruner.in_lattice(point), (g, point)
+                    assert basis.contains(point) == walk.in_lattice(point), (g, point)

@@ -3,6 +3,7 @@ frozen-record contract of the result types."""
 
 import copy
 import dataclasses
+import importlib.util
 import json
 import os
 import pickle
@@ -19,6 +20,7 @@ from cutpoly.grobner import CutBinomial, PartitionMonomial
 from cutpoly.lattice import LatticeBasis
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH_JOB = Path(__file__).resolve().parents[1] / "bench" / "job.py"
 
 # run in a fresh interpreter: which modules do the parser and one command add?
 STARTUP_PROBE = """
@@ -72,6 +74,19 @@ class TestLazyExports:
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             cutpoly.no_such_name
+
+
+class TestBenchJobNames:
+    def test_every_traced_name_resolves(self):
+        # every bench job imports MODULES, and a traced one wraps each LAYERS
+        # function and LatticeBasis.contains, so a moved name fails them all
+        spec = importlib.util.spec_from_file_location("bench_job", BENCH_JOB)
+        job = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(job)
+        modules = {name: importlib.import_module(f"cutpoly.{name}") for name in job.MODULES}
+        for span, (module, attr) in job.LAYERS.items():
+            assert callable(getattr(modules[module], attr, None)), span
+        assert callable(modules["lattice"].LatticeBasis.contains)
 
 
 RECORDS = [

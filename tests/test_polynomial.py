@@ -9,7 +9,6 @@ from cutpoly.polynomial import (
     KRONECKER_MIN_LENGTH,
     IntPolynomial,
     eulerian,
-    eulerian_by_descents,
     f_to_h,
     format_polynomial,
     hibi_lower_bound_ok,
@@ -19,7 +18,7 @@ from cutpoly.polynomial import (
     stirling2,
 )
 
-from oracles import poly_mul, stirling2_by_partitions
+from oracles import eulerian_by_descents, poly_mul, stirling2_by_partitions
 
 
 class TestArithmetic:
