@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 parse/usage error, 3 cost guard, 4 verification
 failure (disagreement between computation routes).  Reports carry a route tag
 ("semigroup", "lp", "closed-form", "gb-f-vector") on every numeric claim and
 are byte-stable for fixed inputs and flags; timing is serialized only under
---timing.  Building the parser imports only the graph module; each command
-imports the modules of its route when it runs.
+--timing.  Building the parser imports only the errors module; each command
+imports the modules of its route, and of the graph, when it runs.
 """
 
 from __future__ import annotations
@@ -14,16 +14,7 @@ import argparse
 import sys
 import time
 
-from .errors import CostGuardError, EdgeListParseError, VerificationError
-from .graph import (
-    Graph,
-    ascii_int,
-    complete_bipartite,
-    configuration,
-    cycle,
-    path,
-    read_edge_list,
-)
+from .errors import CostGuardError, EdgeListParseError, VerificationError, ascii_int
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -79,6 +70,7 @@ class RunReport:
 
 
 def _graph_from_args(args) -> tuple[Graph, dict]:
+    from .graph import complete_bipartite, cycle, path, read_edge_list
     picked = [name for name in ("cycle", "path", "kbipartite", "edge_list")
               if getattr(args, name) is not None]
     if len(picked) != 1:
@@ -115,6 +107,7 @@ def _poly_entry(p, route: str) -> dict:
 
 
 def cmd_vertices(args) -> RunReport:
+    from .graph import configuration
     g, descriptor = _graph_from_args(args)
     cfg = configuration(g)
     data = {
@@ -128,6 +121,7 @@ def cmd_vertices(args) -> RunReport:
 
 def cmd_hstar(args) -> RunReport:
     from . import ehrhart
+    from .graph import configuration
     if args.from_counts is not None:
         for name in ("cycle", "path", "kbipartite", "edge_list"):
             if getattr(args, name) is not None:
@@ -232,6 +226,7 @@ def cmd_gb(args) -> RunReport:
                 f"compare refused for n = {n}: the dilate enumeration to 2n-3 = {2*n-3} "
                 "is beyond the desk-scale budget")
         from . import ehrhart
+        from .graph import complete_bipartite, configuration
         f = grobner.f_vector(n)
         h_gb = f_to_h(f, 2 * n - 4)
         h_closed = hstar_closed_form_k2m(n)

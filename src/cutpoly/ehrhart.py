@@ -506,19 +506,23 @@ LP_CANDIDATE_LIMIT = 1_000_000
 def _box_candidates(d: int, max_dilate: int) -> int:
     """Points in the boxes [0,m]^d for m = 0..max_dilate: sum of k^d for k = 1..M+1.
 
-    Read off sum_{k=0}^{n} k^d = sum_j S(d,j) j! C(n+1, j+1) for d >= 1 (a
-    cut polytope has an edge), so it takes d terms whatever the budget.
+    Read off sum_{k=0}^{n} k^d = sum_j S(d,j) j! C(n+1, j+1) for d >= 1, so
+    it takes d terms whatever the budget; [0,m]^0 is one point.
     """
     n = max(max_dilate + 1, 0)
+    if not d:
+        return n
     return sum(stirling2(d, j) * math.factorial(j) * math.comb(n + 1, j + 1)
                for j in range(1, d + 1))
 
 
 def check_lp_cost(cfg, max_dilate: int | None = None) -> None:
     """Refuse the LP route when its boxes for dilates 0..max_dilate (default d+1)
-    hold more than LP_CANDIDATE_LIMIT points."""
+    hold more than LP_CANDIDATE_LIMIT points.  A box spans only the edges on
+    a cycle: the walk holds each bridge at 0 and multiplies it out."""
     M = cfg.dimension + 1 if max_dilate is None else max_dilate
-    candidates = _box_candidates(cfg.dimension, M)
+    walked = len({e for cyc in fundamental_cycles(cfg.graph) for e in cyc})
+    candidates = _box_candidates(walked, M)
     if candidates > LP_CANDIDATE_LIMIT:
         raise CostGuardError(
             f"lp route refused: {candidates} box candidates for dilates 0..{M}, "

@@ -7,9 +7,7 @@ fixes the coordinate order of every cut vector.
 
 from __future__ import annotations
 
-import re
-
-from .errors import EdgeListParseError, VerificationError
+from .errors import EdgeListParseError, VerificationError, ascii_int
 from .record import FrozenRecord
 
 MAX_VERTICES = 24  # 2^(m-1) cut vectors are enumerated; keep this desk-scale
@@ -295,21 +293,6 @@ def fundamental_cycles(g: Graph) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # edge-list input
 # ---------------------------------------------------------------------------
-
-_ASCII_INT = re.compile(r"-?[0-9]+")
-
-
-def ascii_int(text: str) -> int:
-    """The integer spelled by an optional '-' and ASCII digits, nothing else.
-
-    int() also accepts '1_0', '+5', surrounding spaces and non-ASCII digits
-    such as '\u0661\u0660'; every count and label cutpoly reads goes through
-    this instead.
-    """
-    if not _ASCII_INT.fullmatch(text):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
-
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format: first line m, then one 'u v' per line."""

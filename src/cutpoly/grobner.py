@@ -123,17 +123,6 @@ class CutBinomial(FrozenRecord):
     __slots__ = ("family", "lead", "trail")  # int, PartitionMonomial, PartitionMonomial
 
 
-def _rest_subsets(n: int):
-    """Masks of subsets of {3..n} (bit v-1 set for vertex v)."""
-    rest_bits = [1 << (v - 1) for v in range(3, n + 1)]
-    for picks in range(1 << len(rest_bits)):
-        mask = 0
-        for i, bit in enumerate(rest_bits):
-            if picks >> i & 1:
-                mask |= bit
-        yield mask
-
-
 @lru_cache(maxsize=None)
 def _generate_gb_ids(n: int) -> tuple:
     if n < 4:
@@ -156,7 +145,7 @@ def _generate_gb_ids(n: int) -> tuple:
                 f"family {family} lead {lead.ids} not greater than trail {trail.ids}")
         return CutBinomial(family=family, lead=lead, trail=trail)
 
-    subsets = list(_rest_subsets(n))
+    subsets = range(0, 1 << n, 4)  # masks of the subsets of {3..n}, ascending
     family1 = []
     for s in subsets:
         t = rest_mask & ~s
@@ -570,37 +559,20 @@ def f_vector(n: int) -> list[int]:
 def count_standard_by_degree(n: int, m: int) -> int:
     """All (not necessarily squarefree) standard monomials of degree m.
 
-    A pruned walk over nondecreasing variable-id sequences: after taking
-    variable j it continues over the ids >= j (j may repeat) that form no
-    initial monomial with j, and counts the sequences reaching length m, so
-    each standard monomial is counted exactly once.  The count from a node
-    depends only on its candidate mask and the length left, so it is memoised
-    on that pair, and the last step counts the candidate bits at once.  The
-    guard n <= 6, m <= 5 is kept from the earlier enumeration of every
-    degree-m monomial; the walk itself no longer needs it that tight.
+    The initial ideal is generated by squarefree quadrics, so a monomial is
+    standard exactly when its support is a squarefree standard one: a face of
+    the initial complex.  A k-element support carries C(m-1, k-1) monomials
+    of degree m >= 1, so the count is sum_k f_{k-1} C(m-1, k-1) over the
+    independent-set counts of `squarefree_standard_counts` (Stanley,
+    *Combinatorics and Commutative Algebra*, 1996, ch. II.1), under its n <= 8
+    cap.
     """
-    if n < 4:
-        raise ValueError("need n >= 4")
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    if n > 6 or m > 5:
-        raise CostGuardError(f"standard-monomial count refused for n = {n}, m = {m}")
-    bad = _conflict_masks(n)
-
-    @lru_cache(maxsize=None)
-    def walk(allowed, left):
-        if left < 2:
-            return allowed.bit_count() if left else 1
-        total = 0
-        a = allowed
-        while a:
-            low = a & -a
-            j = low.bit_length() - 1
-            a ^= low
-            total += walk(allowed & ~(low - 1) & ~bad[j], left - 1)
-        return total
-
-    return walk((1 << len(bad)) - 1, m)
+    faces = squarefree_standard_counts(n)
+    if not m:
+        return 1
+    return sum(f * math.comb(m - 1, k - 1) for k, f in enumerate(faces) if k)
 
 
 # ---------------------------------------------------------------------------

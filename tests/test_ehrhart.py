@@ -300,8 +300,11 @@ class TestLatticePointCounts:
         assert count_lattice_points(k2_config, 1) == 2
 
     def test_agreement_small_graphs(self):
-        # normal cases: both routes must produce identical counts through d+1
-        for g in (path(1), path(2), path(3), cycle(4), complete_bipartite(2, 2)):
+        # normal cases: both routes must produce identical counts through d+1;
+        # the guard charges C_4 with a pendant path of 3 edges its 4 cycle
+        # edges' boxes (15,333 points through dilate 8), not all 7 (8,080,425)
+        c4_tail = Graph(7, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5), (5, 6), (6, 7)])
+        for g in (path(1), path(2), path(3), cycle(4), complete_bipartite(2, 2), c4_tail):
             cfg = configuration(g)
             semi = semigroup_counts(cfg)
             lp = lattice_point_counts(cfg)
@@ -319,17 +322,21 @@ class TestLatticePointCounts:
         assert "8080425" in message and str(ehrhart.LP_CANDIDATE_LIMIT) in message
 
     def test_box_candidates_closed_form(self):
-        for d in range(1, 12):
+        for d in range(0, 12):
             for M in range(-3, 15):
                 assert ehrhart._box_candidates(d, M) == \
                     sum((m + 1) ** d for m in range(M + 1))
 
     def test_cost_guard_is_quick_on_a_huge_budget(self):
-        # a single edge at dilates 0..10^12: (10^12+1)(10^12+2)/2 candidates,
-        # estimated in one term rather than a loop over the dilates
+        # a single edge at dilates 0..10^12 is a bridge: one point per dilate;
+        # a triangle's (10^12+1)^2(10^12+2)^2/4 candidates are estimated in
+        # three terms rather than a loop over the dilates
         with pytest.raises(CostGuardError) as exc:
             lattice_point_counts(configuration(path(1)), 10 ** 12)
-        assert str((10 ** 12 + 1) * (10 ** 12 + 2) // 2) in str(exc.value)
+        assert str(10 ** 12 + 1) + " box candidates" in str(exc.value)
+        with pytest.raises(CostGuardError) as exc:
+            lattice_point_counts(configuration(cycle(3)), 10 ** 12)
+        assert str(((10 ** 12 + 1) * (10 ** 12 + 2) // 2) ** 2) in str(exc.value)
 
     def test_pruner_only_rejects_infeasible_points(self, k23_config):
         # every point the cycle-inequality pruner drops must fail the exact test

@@ -457,23 +457,23 @@ class TestHilbertConsistency:
                 assert count_standard_by_degree(n, m) == counts[m], (n, m)
 
     def test_walk_matches_filter(self):
-        for n in (4, 5):
-            for m in range(5):
+        for n, top in ((4, 4), (5, 4), (6, 3)):
+            for m in range(top + 1):
                 assert count_standard_by_degree(n, m) == standard_count_by_filter(n, m), (n, m)
 
     def test_n6_matches_closed_form(self):
-        # i(P, m) = sum_i h*_i C(m + d - i, d) with d = 2n - 4 = 8
-        h = hstar_closed_form_k2m(6)
-        expected = [sum(h.coefficient(i) * math.comb(m + 8 - i, 8) for i in range(9))
-                    for m in range(6)]
-        assert expected[5] == 60960
-        assert [count_standard_by_degree(6, m) for m in range(6)] == expected
+        # i(P, m) = sum_i h*_i C(m + d - i, d) with d = 2n - 4, through m = 2n - 3
+        for n, known in ((6, 60960), (7, 695616)):
+            h = hstar_closed_form_k2m(n)
+            d = 2 * n - 4
+            expected = [sum(h.coefficient(i) * math.comb(m + d - i, d) for i in range(d + 1))
+                        for m in range(d + 2)]
+            assert expected[5] == known
+            assert [count_standard_by_degree(n, m) for m in range(d + 2)] == expected, n
 
     def test_cost_guards(self):
         with pytest.raises(CostGuardError):
-            count_standard_by_degree(7, 1)
-        with pytest.raises(CostGuardError):
-            count_standard_by_degree(5, 6)
+            count_standard_by_degree(9, 1)
 
 
 class TestInterchange:

@@ -49,11 +49,11 @@ class TestStartup:
                              capture_output=True, text=True, check=True)
         added = json.loads(run.stdout)
         assert "cutpoly.cli" in added["parser"]
-        for name in (*ROUTE_MODULES, "cutpoly.polynomial", "dataclasses"):
+        for name in (*ROUTE_MODULES, "cutpoly.graph", "cutpoly.polynomial", "dataclasses"):
             assert name not in added["parser"], name
         assert added["code"] == 0
         assert "cutpoly.polynomial" in added["closed_form"]
-        for name in ROUTE_MODULES:
+        for name in (*ROUTE_MODULES, "cutpoly.graph"):
             assert name not in added["closed_form"], name
         assert added["lattice_attribute"]
 
