@@ -2,8 +2,8 @@
 
 Route one counts degree-m semigroup elements (iterated sumsets of the
 configuration columns), each layer held as big-int bitsets over a spanning
-tree's coordinates, one per value of the closing edges; a tree coordinate
-moves into the key when the bitsets grow sparse.  Route two counts
+tree's coordinates, one per value of the closing edges, and refused before
+any layer that would take the bits shifted past a limit.  Route two counts
 integer points of the dilated polytope inside the column lattice.  A graph
 of at most nine edges has no K5 minor, so there the dilate is cut out by the
 parity and odd-set inequalities of its chordless cycles (Barahona-Mahjoub),
@@ -69,36 +69,22 @@ class CountSequence(FrozenRecord):
 # route one: semigroup sums
 # ---------------------------------------------------------------------------
 
-# Sums the new-points sweep may form over all layers before it is refused;
-# K_{2,4} at its default budget (dilate 9) forms about 42.6M.
-SEMIGROUP_SUM_LIMIT = 100_000_000
-# Bits the sweep may shift over all layers: this many per sum counted by the
-# guard, plus a fixed allowance for the sparse first layers.  Past it the
-# top spanning-forest coordinate moves from the bitsets into the keys.
-SEMIGROUP_BITS_PER_SUM = 512
-SEMIGROUP_BIT_ALLOWANCE = 1 << 26
+# Bits the new-points sweep may shift over all layers before it is refused;
+# K_{2,4} at its default budget (dilate 9) shifts about 4.9e9.
+SEMIGROUP_BIT_LIMIT = 1 << 35
 
 
-def _shift_groups(points, low, high, base: int, width: int) -> dict:
-    """Nonzero columns as bitset shifts, grouped by their key offset."""
-    shifts = {}
-    for p in filter(any, points):
-        key = sum(1 << (j * width) for j, i in enumerate(high) if p[i])
-        shifts.setdefault(key, []).append(sum(base ** k for k, i in enumerate(low) if p[i]))
-    return shifts
-
-
-def _split_top(table: dict, span: int, field: int) -> dict:
-    """Re-key each bitset by its top digit: the bits of digit v, below
-    `span`, go under key + v * field."""
-    out = {}
-    for key, bits in table.items():
-        while bits:
-            top = bits >> span
-            if bits ^ (top << span):
-                out[key] = bits ^ (top << span)
-            bits, key = top, key + field
-    return out
+def _sumset_step(fresh: dict, shifts: dict) -> dict:
+    """The points one nonzero column away from those of `fresh`, as bitsets
+    by key."""
+    reached = {}
+    for key, bits in fresh.items():
+        for offset, lows in shifts.items():
+            moved = 0
+            for lo in lows:
+                moved |= bits << lo
+            reached[key + offset] = reached.get(key + offset, 0) | moved
+    return reached
 
 
 def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
@@ -112,9 +98,10 @@ def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
     under a key packing its other coordinates into fields of
     max_dilate.bit_length() bits.  Coordinates stay within 0..max_dilate, so
     nothing carries: adding a column shifts the bitset and adds to the key.
-    Before each layer, while the bits it would shift pass the budget
-    (SEMIGROUP_BITS_PER_SUM, SEMIGROUP_BIT_ALLOWANCE), the top low coordinate
-    moves into the key, so sparse bitsets never outgrow the sums guarded.
+    Before each layer the bits it will shift are added to a running total,
+    and CostGuardError is raised when the total would pass
+    SEMIGROUP_BIT_LIMIT; before layer 1 the same limit is checked against a
+    lower bound on the whole sweep.
     """
     if max_dilate < 0:
         raise ValueError("dilate must be nonnegative")
@@ -134,36 +121,35 @@ def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
             patterns, seen = grown, len(set(grown))
     high = [i for i in range(len(points[0])) if i not in low]
     base, width = max_dilate + 1, max(1, max_dilate.bit_length())
-    shifts = _shift_groups(points, low, high, base, width)
+    # nonzero columns as bitset shifts, grouped by their key offset
+    shifts = {}
+    for p in filter(any, points):
+        key = sum(1 << (j * width) for j, i in enumerate(high) if p[i])
+        shifts.setdefault(key, []).append(sum(base ** k for k, i in enumerate(low) if p[i]))
     steps, reach = sum(map(len, shifts.values())), sum(map(sum, shifts.values()))
+    # for c the column of largest shift, (m-1)c is new at layer m-1 and sets
+    # bit (m-1) shift(c), so layer m shifts at least steps ((m-1) shift(c) + 1)
+    top = max(map(max, shifts.values()), default=0)
+    least = steps * (top * max_dilate * (max_dilate - 1) // 2 + max_dilate)
+    if least > SEMIGROUP_BIT_LIMIT:
+        raise CostGuardError(
+            f"semigroup sumset refused at dilate 1: at least {least} bits shifted "
+            f"through dilate {max_dilate}, over the limit {SEMIGROUP_BIT_LIMIT}")
     layer, fresh = {0: 1}, {0: 1}
-    sizes, born, sums, shifted = [1], 1, 0, 0
+    sizes, shifted = [1], 0
     for m in range(1, max_dilate + 1):
-        # a point new at layer m is s + c with s new at layer m-1
-        sums += born * steps
-        if sums > SEMIGROUP_SUM_LIMIT:
+        # a point new at layer m is s + c with s new at layer m-1: each new
+        # bitset is shifted once per nonzero column
+        shifted += steps * sum(b.bit_length() for b in fresh.values()) + len(fresh) * reach
+        if shifted > SEMIGROUP_BIT_LIMIT:
             raise CostGuardError(
-                f"semigroup sumset refused at dilate {m}: {sums} sums estimated "
-                f"through this layer, over the limit {SEMIGROUP_SUM_LIMIT}")
-        while True:
-            work = steps * sum(b.bit_length() for b in fresh.values()) + len(fresh) * reach
-            if not low or shifted + work <= SEMIGROUP_BITS_PER_SUM * sums + SEMIGROUP_BIT_ALLOWANCE:
-                break
-            span, field = base ** (len(low) - 1), 1 << (len(high) * width)
-            high.append(low.pop())
-            layer, fresh = _split_top(layer, span, field), _split_top(fresh, span, field)
-            shifts = _shift_groups(points, low, high, base, width)
-            reach = sum(map(sum, shifts.values()))
-        shifted += work
-        reached = {}
-        for key, bits in fresh.items():
-            for offset, lows in shifts.items():
-                moved = 0
-                for lo in lows:
-                    moved |= bits << lo
-                reached[key + offset] = reached.get(key + offset, 0) | moved
+                f"semigroup sumset refused at dilate {m}: {shifted} bits shifted "
+                f"estimated through this layer, over the limit {SEMIGROUP_BIT_LIMIT}")
+        reached = _sumset_step(fresh, shifts)
         fresh, born = {}, 0
-        for key, bits in reached.items():
+        # popping frees each reached bitset once its new points are kept
+        while reached:
+            key, bits = reached.popitem()
             held = layer.get(key, 0)
             if held:
                 bits &= ~held
@@ -180,7 +166,7 @@ def semigroup_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     """One sumset sweep giving all counts for m = 0..max_dilate (default d+1).
 
     Raises CostGuardError, before building the layer that would pass it, when
-    the sums formed would exceed SEMIGROUP_SUM_LIMIT.
+    the bits shifted would exceed SEMIGROUP_BIT_LIMIT.
     """
     d = cfg.dimension
     M = d + 1 if max_dilate is None else max_dilate

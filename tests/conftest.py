@@ -1,5 +1,6 @@
 import pytest
 
+from cutpoly import ehrhart
 from cutpoly.graph import complete_bipartite, configuration, cycle, path
 from cutpoly.lattice import lattice_basis
 from cutpoly.ehrhart import semigroup_counts
@@ -34,3 +35,17 @@ def k23_basis(k23_config):
 def k23_counts(k23_config):
     """Semigroup-route counts for dilates 0..7 of Cut(K_{2,3}), shared across tests."""
     return semigroup_counts(k23_config, 7)
+
+
+@pytest.fixture
+def layers_built(monkeypatch):
+    """A one-item list counting the semigroup kernel's layer steps."""
+    built = [0]
+    step = ehrhart._sumset_step
+
+    def spy(*args):
+        built[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(ehrhart, "_sumset_step", spy)
+    return built

@@ -102,21 +102,51 @@ class TestHstar:
         assert "5" in err  # required dilate count named in the refusal
 
     def test_semigroup_cost_guard(self, capsys, monkeypatch):
-        monkeypatch.setattr(ehrhart, "SEMIGROUP_SUM_LIMIT", 15 * 544)
+        # K_{2,3} shifts an estimated 750,975 bits through dilate 4 and
+        # 1,740,300 through dilate 5
+        monkeypatch.setattr(ehrhart, "SEMIGROUP_BIT_LIMIT", 750_975)
         code, out, err = run_cli(capsys, "hstar", "--kbipartite", "2", "3")
         assert code == EXIT_COST_GUARD
         assert out == ""
-        assert str(15 * 1885) in err
+        assert "refused at dilate 5: 1740300 bits" in err and "750975" in err
 
     def test_semigroup_cost_guard_on_wide_trees(self, capsys):
         # C_12 and path(12) have 11 and 12 tree edges at budget 13: a bitset
         # over the whole tree box [0,13]^11 would need 14^11 bits, so the
-        # kernel must reach the guard's dilate without building one
-        for flags, sums in ((("--cycle", "12"), 539738631), (("--path", "12"), 2176250895)):
+        # sweep's lower bound refuses them before layer 1.  So it does path(1)
+        # at dilate 10^8: one sum per layer, but a bitset m bits long at
+        # layer m, so at least M(M+1)/2 bits shifted
+        for flags, bits in ((("--cycle", "12"), 49736759413827577),
+                            (("--path", "12"), 1392969427061051385),
+                            (("--path", "1", "--max-dilate", "100000000"), 5000000050000000)):
             code, out, err = run_cli(capsys, "hstar", *flags)
             assert code == EXIT_COST_GUARD
             assert out == ""
-            assert f"refused at dilate 3: {sums} sums" in err
+            assert f"refused at dilate 1: at least {bits} bits" in err
+
+    def test_semigroup_cost_guard_builds_no_layer_past_its_dilate(
+            self, capsys, tmp_path, layers_built):
+        # K_{3,7} and path(1) at dilate 10^8 are refused before layer 1 by
+        # the sweep's lower bound, K_6 part-way through the sweep
+        k6 = tmp_path / "k6.txt"
+        k6.write_text("6\n" + "".join(f"{u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7)))
+        for argv in (("--kbipartite", "3", "7"), ("--path", "1", "--max-dilate", "100000000"),
+                     ("--edge-list", str(k6))):
+            layers_built[0] = 0
+            code, out, err = run_cli(capsys, "hstar", *argv)
+            assert code == EXIT_COST_GUARD, argv
+            assert out == ""
+            dilate = int(err.split("refused at dilate ")[1].split(":")[0])
+            assert layers_built == [dilate - 1], (argv, err)
+
+    def test_semigroup_counts_a_long_path(self, capsys):
+        # path(7)'s cut polytope is the cube [0,1]^7, whose h* is A_7
+        code, out, _ = run_cli(capsys, "--json", "hstar", "--path", "7")
+        assert code == EXIT_OK
+        hstar = json.loads(out)["results"]["semigroup"]["coefficients"]
+        code, out, _ = run_cli(capsys, "--json", "closed-form", "9")
+        assert hstar == json.loads(out)["eulerian_factor"]["coefficients"]
+        assert hstar == [1, 120, 1191, 2416, 1191, 120, 1]
 
     def test_lp_cost_guard(self, capsys):
         # boxes [0,m]^8 for m = 0..9 hold 167,731,333 candidates
@@ -126,7 +156,8 @@ class TestHstar:
         assert "167731333" in err
 
     def test_lp_cost_guard_runs_before_the_semigroup_route(self, capsys):
-        # the semigroup route alone would pass its guard after about 15 s
+        # --method both runs the LP route's guard before either route, so its
+        # refusal comes first though the semigroup route counts K_{2,4}
         code, out, err = run_cli(capsys, "hstar", "--kbipartite", "2", "4", "--method", "both")
         assert code == EXIT_COST_GUARD
         assert out == ""

@@ -114,15 +114,18 @@ class TestPackedSumset:
             with pytest.raises(ValueError):
                 semigroup_counts(broken)
 
-    def test_cost_guard_refuses_before_the_layer(self, monkeypatch, k23_config):
-        # 15 nonzero columns, so the sums through layer m are 15 * i(P, m-1)
-        monkeypatch.setattr(ehrhart, "SEMIGROUP_SUM_LIMIT", 15 * 544)
+    def test_cost_guard_refuses_before_the_layer(self, monkeypatch, k23_config, layers_built):
+        # at its default budget (dilate 7) K_{2,3} shifts an estimated
+        # 750,975 bits through dilate 4 and 1,740,300 through dilate 5
+        monkeypatch.setattr(ehrhart, "SEMIGROUP_BIT_LIMIT", 750_975)
         assert ehrhart._semigroup_layer_sizes(k23_config.columns, 4) == [1, 16, 117, 544, 1885]
+        layers_built[0] = 0
         with pytest.raises(CostGuardError) as exc:
             semigroup_counts(k23_config)
         message = str(exc.value)
         assert "dilate 5" in message
-        assert str(15 * 1885) in message and str(15 * 544) in message
+        assert "1740300 bits" in message and "750975" in message
+        assert layers_built == [4]
 
 
 def _leading_edges_close_a_cycle(g) -> bool:
@@ -191,20 +194,10 @@ class TestBitsetSumset:
             assert ehrhart._semigroup_layer_sizes(c4_config.columns, M) == c4[:M + 1]
             assert ehrhart._semigroup_layer_sizes(k23_config.columns, M) == k23[:M + 1]
 
-    def test_bit_budget_splits_match_tuple_sweep(self, monkeypatch):
-        # tight bit budgets move the top low coordinate into the keys before
-        # layer 1 and part-way through the sweep, re-keying layers that
-        # already hold points; the 0/1 non-cut columns also put a moved
-        # coordinate next to high fields whose parities are free
+    def test_small_configurations_match_tuple_sweep(self):
+        # C_5, K_{2,3}, K_4 with its tree edges out of order, and 0/1
+        # non-cut columns whose high coordinates have free parities
         from oracles import sumset_layer_sizes
-        split_sizes = []
-        split_top = ehrhart._split_top
-
-        def spy(table, span, field):
-            split_sizes.append(len(table))
-            return split_top(table, span, field)
-
-        monkeypatch.setattr(ehrhart, "_split_top", spy)
         rng = random.Random(1997)
         configs = [configuration(g).columns for g in (
             cycle(5), complete_bipartite(2, 3),
@@ -214,27 +207,16 @@ class TestBitsetSumset:
             configs.append([(0, 0, 0, 0, 0, 1)] + [
                 tuple([p >> i & 1 for i in range(3)]
                       + [rng.randrange(2), rng.randrange(2), 1]) for p in patterns])
-        for per_sum, allowance in ((0, 0), (2, 64), (8, 512), (32, 4096)):
-            monkeypatch.setattr(ehrhart, "SEMIGROUP_BITS_PER_SUM", per_sum)
-            monkeypatch.setattr(ehrhart, "SEMIGROUP_BIT_ALLOWANCE", allowance)
-            for columns in configs:
-                for M in (1, 3, 5):
-                    assert ehrhart._semigroup_layer_sizes(columns, M) == \
-                        sumset_layer_sizes(columns, M), (per_sum, allowance, columns, M)
-        assert max(split_sizes) > 1
+        for columns in configs:
+            for M in (1, 3, 5):
+                assert ehrhart._semigroup_layer_sizes(columns, M) == \
+                    sumset_layer_sizes(columns, M), (columns, M)
 
-    def test_one_long_bitset_moves_into_the_key(self, monkeypatch):
-        # path(1) holds one point per layer at bit m of one int, so shifting
-        # it costs m bits per sum; the budget re-keys it before dilate
-        # 20,000 and the sweep stays linear
-        splits = []
-        split_top = ehrhart._split_top
-        monkeypatch.setattr(ehrhart, "_split_top",
-                            lambda *args: splits.append(args[1]) or split_top(*args))
+    def test_one_long_bitset(self):
+        # path(1) holds one point per layer, at bit m of one int
         M = 20_000
         assert ehrhart._semigroup_layer_sizes(configuration(path(1)).columns, M) == \
             list(range(1, M + 2))
-        assert splits == [1, 1]  # the layer and its new points, once
 
 
 class TestMembershipInDilate:
