@@ -221,10 +221,6 @@ def cmd_gb(args) -> RunReport:
         data["h_polynomial"] = _poly_entry(h, "gb-f-vector")
         return RunReport(command="gb", data=data)
     if args.action == "compare":
-        if n > 5:
-            raise CostGuardError(
-                f"compare refused for n = {n}: the dilate enumeration to 2n-3 = {2*n-3} "
-                "is beyond the desk-scale budget")
         from . import ehrhart
         from .graph import complete_bipartite, configuration
         f = grobner.f_vector(n)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import CostGuardError, VerificationError
 from .graph import Partition, all_partitions
-from .polynomial import stirling2
+from .polynomial import IntPolynomial, stirling2
 from .record import FrozenRecord
 
 
@@ -48,8 +48,19 @@ class VariableTable:
         return self.variables[index].encode()
 
 
+# Most binomials one basis may hold: 931,503 at n = 12, 3,842,059 at n = 13.
+GB_BASIS_LIMIT = 1_000_000
+
+
 @lru_cache(maxsize=None)
 def variable_table(n: int) -> VariableTable:
+    """Refused before it is built when the basis of [n] would hold more than
+    GB_BASIS_LIMIT binomials: 2 C(2^k, 2) - 2 (3^k - 2^k) + 1 with k = n - 2."""
+    k = max(n - 2, 0)
+    size = 2 * math.comb(2 ** k, 2) - 2 * (3 ** k - 2 ** k) + 1
+    if size > GB_BASIS_LIMIT:
+        raise CostGuardError(f"Groebner basis refused for n = {n}: {size} binomials "
+                             f"estimated, limit {GB_BASIS_LIMIT}")
     return VariableTable(n)
 
 
@@ -202,13 +213,9 @@ def lead_pairs(n: int) -> frozenset:
     return frozenset(pairs)
 
 
-def is_standard(mono: PartitionMonomial, n: int | None = None) -> bool:
+def is_standard(mono: PartitionMonomial) -> bool:
     """True iff no generated initial monomial divides `mono`."""
-    if n is None:
-        n = mono.n
-    elif n != mono.n:
-        raise ValueError("ground set mismatch")
-    return _lead_dividing(mono.ids, lead_pairs(n)) is None
+    return _lead_dividing(mono.ids, lead_pairs(mono.n)) is None
 
 
 def _lead_dividing(ids, leads):
@@ -343,44 +350,51 @@ def _conflict_masks(n: int) -> tuple[int, ...]:
 
 # Most supports one squarefree walk may visit.  The plain walk takes about
 # 3 us a support (Python 3.11 on a 2-vCPU VM), so this is about 12 s; it admits
-# every walk at n <= 7 and, at n = 8, the walks up to degree 4.
+# every walk at n <= 7, up to degree 4 at n = 8, 3 at n = 9, 10 and 2 at n = 11, 12.
 SQUAREFREE_WALK_LIMIT = 4_000_000
 
 
 def _standard_pool(n: int, variable_class: str) -> int:
     """Bitmask of the variables in `variable_class`: 'all', '12-together'
-    (type 1) or '1-and-2-split' (type 2).  Holds the hard n <= 8 cap shared
-    by every squarefree enumerator and counter: the counts that estimate a
-    walk are themselves affordable only up to n = 8."""
+    (type 1) or '1-and-2-split' (type 2)."""
     if n < 4:
         raise ValueError("need n >= 4")
-    if n > 8:
-        raise CostGuardError(f"enumeration refused for n = {n} (2^{n-1} variables)")
     keep = {"all": (False, True), "12-together": (False,), "1-and-2-split": (True,)}[variable_class]
     return sum(1 << i for i, p in enumerate(variable_table(n).variables) if p.splits_12 in keep)
 
 
 @lru_cache(maxsize=None)
 def _independent_set_counts(n: int, pool: int) -> tuple[int, ...]:
-    """Independent sets of the conflict graph within `pool`, by size."""
+    """Independent sets of the conflict graph within `pool`, by size, as chains along
+    the variables sorted by (splits_12, side size): P_v = x (1 + sum of P_u over the
+    fitting u before v).  The first intransitive triple t < u < v is split on once,
+    into the sets without v and v with its fits; a second raises VerificationError."""
     bad = _conflict_masks(n)
-    memo = {0: (1,)}
+    variables = variable_table(n).variables
+    order = sorted(range(len(bad)), key=lambda i: (
+        variables[i].splits_12, variables[i].a_mask.bit_count()))
 
-    def count(mask):
-        # a set within `mask` either omits its lowest variable j, or holds j
-        # and avoids bad[j]
-        if mask not in memo:
-            low = mask & -mask
-            rest = mask ^ low
-            without = count(rest)
-            with_j = count(rest & ~bad[low.bit_length() - 1])
-            out = list(without) + [0] * (len(with_j) + 1 - len(without))
-            for size, c in enumerate(with_j, start=1):
-                out[size] += c
-            memo[mask] = tuple(out)
-        return memo[mask]
+    def chains(pool, may_split):
+        fits, ending, seen = {}, {}, 0
+        for v in (v for v in order if pool >> v & 1):
+            fits[v] = below = seen & ~bad[v]
+            tail = IntPolynomial.one()
+            while below:
+                u = (below & -below).bit_length() - 1
+                below &= below - 1
+                clash = fits[u] & bad[v]  # each t here makes (t, u, v) intransitive
+                if clash and not may_split:
+                    raise VerificationError(f"second intransitive triple for n = {n}: "
+                                            f"variables {clash.bit_length() - 1} < {u} < {v}")
+                if clash:
+                    rest = pool & ~(1 << v)
+                    return chains(rest, False) + chains(rest & ~bad[v], False).shifted(1)
+                tail += ending[u]
+            ending[v] = tail.shifted(1)
+            seen |= 1 << v
+        return sum(ending.values(), IntPolynomial.one())
 
-    return count(pool)
+    return chains(pool, True).coeffs
 
 
 def _walk_pool(n: int, variable_class: str, degree: int | None = None) -> int:
@@ -564,8 +578,8 @@ def count_standard_by_degree(n: int, m: int) -> int:
     the initial complex.  A k-element support carries C(m-1, k-1) monomials
     of degree m >= 1, so the count is sum_k f_{k-1} C(m-1, k-1) over the
     independent-set counts of `squarefree_standard_counts` (Stanley,
-    *Combinatorics and Commutative Algebra*, 1996, ch. II.1), under its n <= 8
-    cap.
+    *Combinatorics and Commutative Algebra*, 1996, ch. II.1), under the basis
+    guard of `variable_table`.
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")

@@ -272,9 +272,16 @@ class TestGb:
             routes["closed-form"]["coefficients"] == \
             routes["semigroup"]["coefficients"]
 
+    def test_compare_n6(self, capsys):
+        code, out, _ = run_cli(capsys, "gb", "6", "compare")
+        assert code == EXIT_OK
+        assert "agreement: PASS" in out
+
     def test_compare_cost_guard(self, capsys):
-        code, _, err = run_cli(capsys, "gb", "6", "compare")
+        # no cap of its own: the semigroup route's guard refuses K_{2,5}
+        code, _, err = run_cli(capsys, "gb", "7", "compare")
         assert code == EXIT_COST_GUARD
+        assert "dilate 5" in err
 
     def test_buchberger_cost_guard(self, capsys):
         code, _, _ = run_cli(capsys, "gb", "8", "verify")

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -350,16 +351,54 @@ class TestStandardMonomials:
                 assert fits == everyone & ~bad[i] & ~(1 << i), (n, i)
 
     def test_cost_guard(self):
-        with pytest.raises(CostGuardError):
-            enumerate_squarefree_standard(9, 1)
-        with pytest.raises(CostGuardError):
-            squarefree_standard_counts(9)
-        # n = 8 passes the hard cap, but these walks would visit 263,165,868
+        # the basis guard, not a cap on n, bounds the counts: n = 9 runs and
+        # n = 13's 3,842,059 binomials are refused
+        assert len(enumerate_squarefree_standard(9, 1)) == 256
+        assert squarefree_standard_counts(9)[:3] == [1, 256, 20501]
+        with pytest.raises(CostGuardError, match="3842059 binomials estimated, limit 1000000"):
+            squarefree_standard_counts(13)
+        # n = 8's counts run, but these walks would visit 263,165,868
         # and 19,802,028 supports; both are refused before the first one
         with pytest.raises(CostGuardError, match="263165868 supports"):
             next(iter_squarefree_standard(8))
         with pytest.raises(CostGuardError, match="19802028 supports"):
             enumerate_squarefree_standard(8, 6)
+
+
+class TestChainCount:
+    def test_second_intransitive_triple_raises(self, monkeypatch):
+        # a conflict between the 12-together variables {} and {3..n} adds a
+        # second class of intransitive triples beside the split class's
+        n = 6
+        table = variable_table(n)
+        low, high = table.index_of(()), table.index_of(range(3, n + 1))
+        bad = list(grobner._conflict_masks(n))
+        bad[low] |= 1 << high
+        bad[high] |= 1 << low
+        monkeypatch.setattr(grobner, "_conflict_masks", lambda n: tuple(bad))
+        grobner._independent_set_counts.cache_clear()
+        with pytest.raises(VerificationError, match="second intransitive triple"):
+            squarefree_standard_counts(n)
+
+    def test_reads_no_chain_table(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("the chain count read the chain description")
+
+        monkeypatch.setattr(grobner, "_chain_masks", refuse)
+        monkeypatch.setattr(grobner, "_chain_compatible", refuse)
+        grobner._independent_set_counts.cache_clear()
+        for n in (5, 7):
+            assert squarefree_standard_counts(n) == f_vector(n), n
+
+    def test_basis_guard_refuses_before_building(self):
+        calls = (lambda: squarefree_standard_counts(30),
+                 lambda: is_standard(PartitionMonomial(30, ())),
+                 lambda: generate_gb(13))
+        for call in calls:
+            start = time.perf_counter()
+            with pytest.raises(CostGuardError, match="binomials estimated, limit 1000000"):
+                call()
+            assert time.perf_counter() - start < 1
 
 
 class TestCountingFormulas:
@@ -373,7 +412,7 @@ class TestCountingFormulas:
             assert count_type2(n, 0) == 1
 
     def test_formulas_match_enumeration(self):
-        for n in range(4, 7):
+        for n in range(4, 10):
             type1 = squarefree_standard_counts(n, "12-together")
             type2 = squarefree_standard_counts(n, "1-and-2-split")
             top = 2 * n - 3
@@ -421,7 +460,7 @@ class TestFVector:
         assert f_vector(4)[1] == 8
 
     def test_matches_enumeration(self):
-        for n in range(4, 9):
+        for n in range(4, 10):
             assert f_vector(n) == squarefree_standard_counts(n), n
 
     def test_top_degree(self):
@@ -473,7 +512,7 @@ class TestHilbertConsistency:
 
     def test_cost_guards(self):
         with pytest.raises(CostGuardError):
-            count_standard_by_degree(9, 1)
+            count_standard_by_degree(13, 1)
 
 
 class TestInterchange:
