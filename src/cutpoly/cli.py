@@ -11,6 +11,7 @@ imports the modules of its route, and of the graph, when it runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -176,11 +177,24 @@ def cmd_hstar(args) -> RunReport:
     return RunReport(command="hstar", data=data)
 
 
+def _refuse_unprintable(n: int, largest: int | None = None) -> None:
+    """Refuse a report on K_{2,n-2} that would print an integer of more digits
+    than Python converts to text (sys.get_int_max_str_digits(), 0 for none):
+    `largest`, or by default the normalized volume 2((n-2)!)^2, read off lgamma."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = 1 + math.floor(math.log10(largest) if largest else
+                            (math.log(2) + 2 * math.lgamma(n - 1)) / math.log(10))
+    if limit and digits > limit:
+        raise CostGuardError(f"report refused for n = {n}: a {digits}-digit integer to "
+                             f"print, limit {limit} digits (sys.get_int_max_str_digits)")
+
+
 def cmd_closed_form(args) -> RunReport:
     from .polynomial import eulerian, format_polynomial, hstar_closed_form_k2m
     n = args.n
     if n < 4:
         raise argparse.ArgumentTypeError("closed form needs n >= 4")
+    _refuse_unprintable(n)
     h = hstar_closed_form_k2m(n)
     a = eulerian(n - 2)
     data = {
@@ -215,7 +229,10 @@ def cmd_gb(args) -> RunReport:
             raise VerificationError("Buchberger check failed:\n" + report.to_text())
         return report
     if args.action == "fvector":
+        # the volume is f's top entry; a middle entry may be longer
+        _refuse_unprintable(n)
         f = grobner.f_vector(n)
+        _refuse_unprintable(n, max(f))
         h = f_to_h(f, 2 * n - 4)
         data["f_vector"] = {"route": "gb-f-vector", "values": f}
         data["h_polynomial"] = _poly_entry(h, "gb-f-vector")
@@ -223,10 +240,10 @@ def cmd_gb(args) -> RunReport:
     if args.action == "compare":
         from . import ehrhart
         from .graph import complete_bipartite, configuration
+        cfg = configuration(complete_bipartite(2, n - 2))
         f = grobner.f_vector(n)
         h_gb = f_to_h(f, 2 * n - 4)
         h_closed = hstar_closed_form_k2m(n)
-        cfg = configuration(complete_bipartite(2, n - 2))
         h_ehrhart, _ = ehrhart.hstar_polynomial(cfg, "semigroup")
         data["results"] = {
             "gb-f-vector": _poly_entry(h_gb, "gb-f-vector"),

@@ -5,12 +5,12 @@ configuration columns), each layer held as big-int bitsets over a spanning
 tree's coordinates, one per value of the closing edges, and refused before
 any layer that would take the bits shifted past a limit.  Route two counts
 integer points of the dilated polytope inside the column lattice.  A graph
-of at most nine edges has no K5 minor, so there the dilate is cut out by the
-parity and odd-set inequalities of its chordless cycles (Barahona-Mahjoub),
-counted by a pruned walk with no simplex call; an exact rational phase-1
-simplex re-decides a few points per dilate, and any disagreement raises.  A
-larger graph takes the same walk over its fundamental cycles, and the simplex
-decides each walked point.  The two routes
+with at most nine edges on cycles has no K5 minor, so there the dilate is cut
+out by the parity and odd-set inequalities of its chordless cycles
+(Barahona-Mahjoub), counted by a pruned walk with no simplex call; an exact
+rational phase-1 simplex re-decides a few points per dilate, and any
+disagreement raises.  Any other graph takes the same walk over its
+fundamental cycles, and the simplex decides each walked point.  The two routes
 agree exactly when the toric ring is normal; disagreements are surfaced,
 never masked.
 """
@@ -432,7 +432,8 @@ class _CycleWalk:
         return (m + 1) ** self._bridges * walk(0)
 
 
-# A K5 minor needs 10 edges, so a graph with at most this many has none
+# A K5 minor lies within one block, which then has at least 10 edges, all on
+# cycles; so a graph with at most this many edges on cycles has none
 K5_MINOR_FREE_EDGES = 9
 
 # Lattice points per dilate that the simplex re-decides on that path
@@ -463,18 +464,19 @@ def _spot_points(cfg, m: int) -> list[tuple[int, ...]]:
 def count_lattice_points(cfg, m: int) -> int:
     """|m P' intersect ZA|: integer points of the dilate lying in the column lattice.
 
-    A graph of at most K5_MINOR_FREE_EDGES edges has no K5 minor, so its count
-    is `_CycleWalk.count` over every chordless cycle, with no simplex call.
-    The phase-1 simplex re-decides `_spot_points` first, and any disagreement
-    raises VerificationError.  A larger graph walks its fundamental cycles
-    (the chordless ones would take 2^c XORs to find) and the simplex decides
-    each walked point.
+    A graph with at most K5_MINOR_FREE_EDGES edges on its fundamental cycles
+    has no K5 minor, so its count is `_CycleWalk.count` over every chordless
+    cycle, with no simplex call.  The phase-1 simplex re-decides
+    `_spot_points` first, and any disagreement raises VerificationError.  Any
+    other graph walks its fundamental cycles (the chordless ones would take
+    2^c XORs to find) and the simplex decides each walked point.
     """
     if m < 0:
         raise ValueError("dilate must be nonnegative")
     g = cfg.graph
-    if g.edge_count > K5_MINOR_FREE_EDGES:
-        return _CycleWalk(g, fundamental_cycles(g)).count(
+    cycles = fundamental_cycles(g)
+    if len({e for cyc in cycles for e in cyc}) > K5_MINOR_FREE_EDGES:
+        return _CycleWalk(g, cycles).count(
             m, lambda z: _phase1(cfg.columns, z + (m,)))
     rule = _CycleWalk(g, _chordless_cycles(g))
     for z in _spot_points(cfg, m):

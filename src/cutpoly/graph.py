@@ -7,7 +7,7 @@ fixes the coordinate order of every cut vector.
 
 from __future__ import annotations
 
-from .errors import EdgeListParseError, VerificationError, ascii_int
+from .errors import CostGuardError, EdgeListParseError, VerificationError, ascii_int
 from .record import FrozenRecord
 
 MAX_VERTICES = 24  # 2^(m-1) cut vectors are enumerated; keep this desk-scale
@@ -194,15 +194,26 @@ def all_partitions(vertex_count: int) -> list[Partition]:
     return [Partition(vertex_count, m << 1) for m in range(1 << (vertex_count - 1))]
 
 
+# Entries one configuration may hold, 2^(m-1) columns of |E| + 1: path(12)
+# holds 53,248, path(17) 2,359,296 and path(18) 4,980,736.
+CONFIGURATION_ENTRY_LIMIT = 1 << 22
+
+
 def cut_polytope_vertices(g: Graph) -> list[tuple[int, ...]]:
     """The 2^(m-1) distinct cut vectors of g, one per canonical bipartition.
 
     Order is deterministic: ascending canonical-mask order of the side not
-    containing vertex 1.
+    containing vertex 1.  Refused before the first vector when the
+    configuration would hold more than CONFIGURATION_ENTRY_LIMIT entries.
     """
     if g.vertex_count < 2:
         raise ValueError("cut polytope needs at least 2 vertices")
-    vertices = [cut_vector(g, p.a_mask) for p in all_partitions(g.vertex_count)]
+    entries = (1 << (g.vertex_count - 1)) * (g.edge_count + 1)
+    if entries > CONFIGURATION_ENTRY_LIMIT:
+        raise CostGuardError(f"configuration refused for {g.vertex_count} vertices and "
+                             f"{g.edge_count} edges: {entries} entries estimated, "
+                             f"limit {CONFIGURATION_ENTRY_LIMIT}")
+    vertices = [cut_vector(g, m << 1) for m in range(1 << (g.vertex_count - 1))]
     distinct = len(set(vertices))
     if distinct != len(vertices):
         # cannot happen for connected graphs; guards the connectivity invariant

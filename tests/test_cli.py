@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 
 from cutpoly import ehrhart
 from cutpoly.cli import (
@@ -148,6 +150,15 @@ class TestHstar:
         assert hstar == json.loads(out)["eulerian_factor"]["coefficients"]
         assert hstar == [1, 120, 1191, 2416, 1191, 120, 1]
 
+    def test_configuration_guard(self, capsys):
+        # K_{10,10}'s 2^19 cut vectors of 101 entries are refused before the first
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "hstar", "--kbipartite", "10", "10")
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_COST_GUARD
+        assert out == ""
+        assert "52953088 entries estimated, limit 4194304" in err
+
     def test_lp_cost_guard(self, capsys):
         # boxes [0,m]^8 for m = 0..9 hold 167,731,333 candidates
         code, out, err = run_cli(capsys, "hstar", "--kbipartite", "2", "4", "--method", "lp")
@@ -284,8 +295,37 @@ class TestGb:
         assert "dilate 5" in err
 
     def test_buchberger_cost_guard(self, capsys):
-        code, _, _ = run_cli(capsys, "gb", "8", "verify")
+        # n = 8 reduces 117,600 lead-sharing S-pairs; n = 9 would reduce 1,178,436
+        code, out, err = run_cli(capsys, "gb", "9", "verify")
         assert code == EXIT_COST_GUARD
+        assert out == ""
+        assert "1178436 lead-sharing S-pairs estimated, limit 200000" in err
+
+    def test_digit_guard(self, capsys):
+        # from n = 862 on, the normalized volume 2((n-2)!)^2 has more digits
+        # than Python prints by default; both reports are refused at once
+        limit = sys.get_int_max_str_digits()
+        for argv, digits in ((("closed-form", "862"), 4305), (("gb", "1000", "fvector"), 5124)):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert code == EXIT_COST_GUARD
+            assert out == ""
+            assert f"a {digits}-digit integer to print, limit {limit} digits" in err
+
+    def test_digit_guard_reads_the_longest_f_vector_entry(self, capsys):
+        # under a 640-digit limit n = 175's volume (628 digits) prints, but the
+        # largest entry of its f-vector (682 digits) does not
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert run_cli(capsys, "closed-form", "175")[0] == EXIT_OK
+            code, out, err = run_cli(capsys, "gb", "175", "fvector")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == EXIT_COST_GUARD
+        assert out == ""
+        assert "a 682-digit integer to print, limit 640 digits" in err
 
 
 class TestReportContract:

@@ -480,14 +480,22 @@ class TestCertificates:
                 decided = rule.count(m, lambda z: ehrhart._phase1(cfg.columns, z + (m,)))
                 assert rule.count(m) == decided, (g, m)
 
-    def test_bridges_on_ten_or_more_edges(self):
-        # K_{3,3} and a pendant edge: the simplex decides each walked point,
-        # and the pendant edge, held at 0, multiplies the count by m+1
-        g = Graph(7, list(complete_bipartite(3, 3).edges) + [(6, 7)])
-        assert g.edge_count > ehrhart.K5_MINOR_FREE_EDGES
-        cfg = configuration(g)
-        for m in range(3):
-            assert count_lattice_points(cfg, m) == _plain_count(cfg, m), m
+    def test_bridges_on_ten_or_more_edges(self, monkeypatch):
+        # a pendant edge, held at 0, multiplies the count by m+1.  K_{3,3}
+        # with one has 10 edges, 9 on cycles, so the chordless-cycle count
+        # takes it with spot checks only; K_5 with one has 10 on cycles, so
+        # the simplex decides each walked point
+        calls = _count_simplex_calls(monkeypatch)
+        for g, cycle_edges in ((Graph(7, list(complete_bipartite(3, 3).edges) + [(6, 7)]), 9),
+                               (Graph(6, list(K5.edges) + [(5, 6)]), 10)):
+            assert g.edge_count > ehrhart.K5_MINOR_FREE_EDGES
+            assert len({e for cyc in fundamental_cycles(g) for e in cyc}) == cycle_edges
+            cfg = configuration(g)
+            calls[0] = 0
+            counts = [count_lattice_points(cfg, m) for m in range(3)]
+            assert (calls[0] <= 3 * ehrhart.SPOT_CHECKS) == (cycle_edges == 9), (g, calls[0])
+            assert counts == [_plain_count(cfg, m) for m in range(3)], g
+        assert counts == [1, 32, 408]
 
     def test_simplex_runs_only_for_the_spot_check(self, monkeypatch):
         calls = _count_simplex_calls(monkeypatch)

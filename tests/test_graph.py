@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from cutpoly.errors import EdgeListParseError
+from cutpoly.errors import CostGuardError, EdgeListParseError
 from cutpoly.graph import (
     Graph,
     Partition,
@@ -175,6 +176,20 @@ class TestConfiguration:
         expected = sorted(
             1 + sum(cut_vector(g, p.a_mask)) for p in all_partitions(4))
         assert sorted(sum(col) for col in cfg.columns) == expected
+
+    def test_columns_in_canonical_partition_order(self):
+        g = complete_bipartite(2, 3)
+        assert cut_polytope_vertices(g) == [cut_vector(g, p.a_mask) for p in all_partitions(5)]
+
+    def test_entry_guard_refuses_before_the_first_vector(self):
+        # 2^(m-1) columns of |E| + 1 entries: path(12) holds 53,248 and is
+        # built; path(18) and K_{10,10} are refused over the limit 2^22
+        assert configuration(path(12)).column_count == 4096
+        for g, entries in ((path(18), 4980736), (complete_bipartite(10, 10), 52953088)):
+            start = time.perf_counter()
+            with pytest.raises(CostGuardError, match=f": {entries} entries estimated, limit 4194304"):
+                configuration(g)
+            assert time.perf_counter() - start < 1
 
     def test_k23_reference_matrix(self, k23_config):
         ref_cols = list(zip(*[list(map(int, row.split())) for row in K23_REFERENCE_ROWS]))

@@ -204,10 +204,26 @@ class TestGenerateBasis:
         assert got == expected
 
     def test_leads_squarefree_and_greater(self):
-        for n in range(4, 8):
-            for b in generate_gb(n):
+        # and the lead pairs, formed without the basis, are its leads
+        for n in range(4, 10):
+            basis = generate_gb(n)
+            assert grobner.lead_pairs(n) == {b.lead.ids for b in basis}, n
+            for b in basis:
                 assert b.lead.squarefree
                 assert monomial_order_cmp(b.lead, b.trail) == 1
+
+    def test_reversed_variable_order_raises(self, monkeypatch):
+        # with the ids reversed some lead falls below its trail
+        table = grobner.VariableTable(5)
+        top = len(table) - 1
+        table._index_by_mask = {mask: top - i for mask, i in table._index_by_mask.items()}
+        monkeypatch.setattr(grobner, "variable_table", lambda n: table)
+        grobner.lead_pairs.cache_clear()
+        grobner._generate_gb_ids.cache_clear()
+        with pytest.raises(VerificationError, match="not greater than trail"):
+            grobner.lead_pairs(5)
+        with pytest.raises(VerificationError, match="not greater than trail"):
+            generate_gb(5)
 
     def test_family1_includes_empty_side_instance(self):
         leads = canonical_binomial_set(
@@ -271,11 +287,50 @@ class TestBuchberger:
         assert certificate["basis_size"] == 111
         assert certificate["pairs_total"] == 111 * 110 // 2
 
+    def test_n7_passes(self):
+        # leads sharing a variable: sum over the variables of C(deg, 2)
+        ok, certificate = buchberger_check(7)
+        assert ok
+        assert certificate["basis_size"] == 571
+        assert certificate["pairs_total"] == math.comb(571, 2)
+        assert certificate["pairs_reduced"] == 10500
+        assert certificate["pairs_skipped_coprime"] == math.comb(571, 2) - 10500
+
     def test_guards(self):
-        with pytest.raises(CostGuardError):
-            buchberger_check(7)
+        # the S-pair count is read off the conflict graph before the basis is built
+        start = time.perf_counter()
+        with pytest.raises(CostGuardError, match="1178436 lead-sharing S-pairs estimated, "
+                                                 "limit 200000"):
+            buchberger_check(9)
+        assert time.perf_counter() - start < 1
+        with pytest.raises(CostGuardError, match="binomials estimated, limit 1000000"):
+            buchberger_check(13)
         with pytest.raises(ValueError):
             buchberger_check(3)
+
+    def test_corrupted_trail_fails_in_pair_order(self, monkeypatch):
+        # binomial 4's trail replaced by q_0^2; the failures, in ascending
+        # pair order, are those of a loop over all pairs of the basis
+        real = grobner.generate_gb
+
+        def corrupted(n):
+            gb = real(n)
+            gb[4] = grobner.CutBinomial(family=gb[4].family, lead=gb[4].lead,
+                                        trail=PartitionMonomial(n, (0, 0)))
+            return gb
+
+        monkeypatch.setattr(grobner, "generate_gb", corrupted)
+        ok, certificate = buchberger_check(5)
+        assert not ok
+        assert (certificate["pairs_total"], certificate["pairs_reduced"]) == (171, 36)
+        assert certificate["failures"] == [
+            {"pair": [1, 4], "normal_form": {"(0, 0, 10)": -1, "(0, 9, 13)": 1}},
+            {"pair": [1, 7], "normal_form": {"(0, 0, 2)": -1, "(0, 7, 13)": 1}},
+            {"pair": [3, 4], "normal_form": {"(0, 0, 8)": -1, "(0, 6, 13)": 1}},
+            {"pair": [3, 6], "normal_form": {"(0, 0, 2)": -1, "(0, 7, 13)": 1}},
+            {"pair": [4, 5], "normal_form": {"(0, 0, 11)": 1, "(0, 1, 13)": -1}},
+            {"pair": [4, 9], "normal_form": {"(0, 0, 11)": 1, "(0, 1, 13)": -1}},
+        ]
 
 
 class TestStandardMonomials:
