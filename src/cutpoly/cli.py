@@ -42,9 +42,16 @@ class RunReport:
             out["timing_s"] = round(self.timing_s, 3)
         return out
 
-    def to_json(self) -> str:
-        import json
-        return json.dumps(self.payload(), indent=2)
+    def write(self, fh, as_json: bool) -> None:
+        """Write the report to `fh`, JSON in blocks of chunks as it is encoded
+        (json.dump's write per chunk costs more than the encoding on stdout)."""
+        if as_json:
+            import itertools
+            import json
+            chunks = json.JSONEncoder(indent=2).iterencode(self.payload())
+            for block in iter(lambda: "".join(itertools.islice(chunks, 8192)), ""):
+                fh.write(block)
+        fh.write("\n" if as_json else self.to_text())
 
     def to_text(self) -> str:
         lines = []
@@ -340,12 +347,11 @@ def main(argv=None) -> int:
         return EXIT_VERIFICATION
     report.timing_s = time.perf_counter() - started
     report.show_timing = args.timing
-    rendered = report.to_json() + "\n" if args.json else report.to_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+            report.write(fh, args.json)
     else:
-        sys.stdout.write(rendered)
+        report.write(sys.stdout, args.json)
     return EXIT_OK
 
 

@@ -66,34 +66,59 @@ def variable_table(n: int) -> VariableTable:
     return VariableTable(n)
 
 
-class PartitionMonomial(FrozenRecord):
-    """Monomial of K[q]: variable indices ascending, repeated per exponent."""
+class PartitionMonomial(tuple):
+    """Monomial of K[q]: the tuple of its variable indices, ascending and
+    repeated per exponent, as an instance of one cached subclass per ground
+    set that holds `n` (a tuple subclass can hold no per-instance slot).
 
-    __slots__ = ("n", "ids")
+    Hash and equality are the tuple's, except that monomials over different
+    ground sets differ; assignment raises dataclasses.FrozenInstanceError.
+    """
 
-    def __init__(self, n: int, ids: tuple[int, ...]):
-        _set_n(self, n)
-        _set_ids(self, tuple(sorted(ids)))
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+    __setattr__ = FrozenRecord.__setattr__
+    __delattr__ = FrozenRecord.__delattr__
+
+    def __new__(cls, n: int, ids: tuple[int, ...]):
+        return tuple.__new__(_monomial_type(n), sorted(ids))
 
     @classmethod
     def _sorted(cls, n: int, ids: tuple[int, ...]) -> "PartitionMonomial":
         """Trusted constructor for `ids` already ascending; skips the sort."""
-        mono = object.__new__(cls)
-        _set_n(mono, n)
-        _set_ids(mono, ids)
-        return mono
+        return tuple.__new__(_monomial_type(n), ids)
+
+    def __eq__(self, other):
+        if isinstance(other, PartitionMonomial) and other.n != self.n:
+            return False
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __repr__(self):
+        return f"PartitionMonomial(n={self.n!r}, ids={tuple(self)!r})"
+
+    def __reduce__(self):
+        return PartitionMonomial, (self.n, tuple(self))
+
+    @property
+    def ids(self) -> "PartitionMonomial":
+        return self
 
     @property
     def degree(self) -> int:
-        return len(self.ids)
+        return len(self)
 
     @property
     def squarefree(self) -> bool:
-        return len(set(self.ids)) == len(self.ids)
+        return len(set(self)) == len(self)
 
 
-# the slots' own setters, which a frozen record's __setattr__ does not reach
-_set_n, _set_ids = PartitionMonomial.n.__set__, PartitionMonomial.ids.__set__
+@lru_cache(maxsize=None)
+def _monomial_type(n: int) -> type:
+    """The PartitionMonomial subclass of the ground set [n]."""
+    return type(PartitionMonomial.__name__, (PartitionMonomial,), {"__slots__": (), "n": n})
 
 
 def monomial(n: int, sides) -> PartitionMonomial:
@@ -111,10 +136,10 @@ def monomial_order_cmp(a: PartitionMonomial, b: PartitionMonomial) -> int:
     """
     if a.n != b.n:
         raise ValueError("mixed ground sets")
-    for va, vb in zip(a.ids, b.ids):
+    for va, vb in zip(a, b):
         if va != vb:
             return -1 if va < vb else 1
-    return (len(a.ids) < len(b.ids)) - (len(a.ids) > len(b.ids))
+    return (len(a) < len(b)) - (len(a) > len(b))
 
 
 class CutBinomial(FrozenRecord):
@@ -158,11 +183,19 @@ def _families(n: int):
 
 @lru_cache(maxsize=None)
 def _generate_gb_ids(n: int) -> tuple:
-    encode = variable_table(n).encode
-    make = PartitionMonomial._sorted
-    return tuple(CutBinomial(family=family, lead=make(n, lead), trail=make(n, trail))
-                 for family, lead, trail in sorted(
-                     _families(n), key=lambda b: (b[0], sorted(map(encode, b[1])))))
+    table = variable_table(n)
+    size = len(table)
+    rank = [0] * size  # each variable's place among the encodings
+    for r, i in enumerate(sorted(range(size), key=table.encode)):
+        rank[i] = r
+
+    def order(binomial):  # (family, sorted lead encodings), as one int
+        lo, hi = sorted(rank[i] for i in binomial[1])
+        return (binomial[0] * size + lo) * size + hi
+
+    new, cls = tuple.__new__, _monomial_type(n)
+    return tuple(CutBinomial(family=family, lead=new(cls, lead), trail=new(cls, trail))
+                 for family, lead, trail in sorted(_families(n), key=order))
 
 
 def generate_gb(n: int) -> list[CutBinomial]:
@@ -178,7 +211,7 @@ def lead_pairs(n: int) -> frozenset:
 
 def is_standard(mono: PartitionMonomial) -> bool:
     """True iff no generated initial monomial divides `mono`."""
-    return _lead_dividing(mono.ids, lead_pairs(mono.n)) is None
+    return _lead_dividing(mono, lead_pairs(mono.n)) is None
 
 
 def _lead_dividing(ids, leads):
@@ -195,10 +228,10 @@ def _lead_dividing(ids, leads):
 # ---------------------------------------------------------------------------
 
 def _rewrite(mono: PartitionMonomial, binom: CutBinomial) -> PartitionMonomial:
-    ids = list(mono.ids)
-    for v in binom.lead.ids:
+    ids = list(mono)
+    for v in binom.lead:
         ids.remove(v)
-    ids.extend(binom.trail.ids)
+    ids.extend(binom.trail)
     return PartitionMonomial(mono.n, ids)
 
 
@@ -209,11 +242,12 @@ def reduce(poly, gb) -> dict[PartitionMonomial, int]:
     rewrite strictly decreases the term in the monomial order, so the loop
     terminates; the result has no term divisible by any lead.
     """
-    return _reduce(poly, {b.lead.ids: b for b in gb})
+    return _reduce(poly, {tuple(b.lead): b for b in gb})
 
 
 def _reduce(poly, lead_map) -> dict[PartitionMonomial, int]:
-    """`reduce` against a basis given as a map from each lead's ids to its binomial."""
+    """`reduce` against a basis given as a map from each lead's ids, a plain
+    tuple, to its binomial."""
     if isinstance(poly, PartitionMonomial):
         poly = {poly: 1}
     terms = {m: c for m, c in poly.items() if c}
@@ -221,7 +255,7 @@ def _reduce(poly, lead_map) -> dict[PartitionMonomial, int]:
         best = None
         best_binom = None
         for mono in terms:
-            pair = _lead_dividing(mono.ids, lead_map)
+            pair = _lead_dividing(mono, lead_map)
             if pair is None:
                 continue
             if best is None or monomial_order_cmp(mono, best) > 0:
@@ -240,8 +274,8 @@ def _reduce(poly, lead_map) -> dict[PartitionMonomial, int]:
 def s_polynomial(g1: CutBinomial, g2: CutBinomial) -> dict[PartitionMonomial, int]:
     """S-polynomial (lcm/lead1)*g1 - (lcm/lead2)*g2 as a term dict; the leads
     are squarefree, so their lcm is the product of their support."""
-    support = set(g1.lead.ids) | set(g2.lead.ids)
-    m1, m2 = (PartitionMonomial(g.lead.n, tuple(support.difference(g.lead.ids)) + g.trail.ids)
+    support = set(g1.lead) | set(g2.lead)
+    m1, m2 = (PartitionMonomial(g.lead.n, tuple(support.difference(g.lead)) + g.trail)
               for g in (g1, g2))
     return {} if m1 == m2 else {m1: 1, m2: -1}
 
@@ -266,10 +300,10 @@ def buchberger_check(n: int) -> tuple[bool, dict]:
         raise CostGuardError(f"Buchberger check refused for n = {n}: {estimate} lead-sharing "
                              f"S-pairs estimated, limit {BUCHBERGER_PAIR_LIMIT}")
     gb = generate_gb(n)
-    lead_map = {b.lead.ids: b for b in gb}
+    lead_map = {tuple(b.lead): b for b in gb}
     through = [[] for _ in range(len(variable_table(n)))]
     for a, b in enumerate(gb):
-        for v in b.lead.ids:
+        for v in b.lead:
             through[v].append(a)
     pairs = sorted(itertools.chain.from_iterable(
         itertools.combinations(ids, 2) for ids in through))
@@ -279,8 +313,8 @@ def buchberger_check(n: int) -> tuple[bool, dict]:
         if normal_form:
             failures.append({
                 "pair": [a, b],
-                "normal_form": {str(tuple(m.ids)): c for m, c in sorted(
-                    normal_form.items(), key=lambda kv: kv[0].ids)},
+                "normal_form": {str(tuple(m)): c for m, c in sorted(
+                    normal_form.items(), key=lambda kv: tuple(kv[0]))},
             })
     total = math.comb(len(gb), 2)
     certificate = {
@@ -410,7 +444,7 @@ def chain_characterization_holds(mono: PartitionMonomial) -> bool:
     """
     compat = _chain_compatible(mono.n)
     seen = 0
-    for i in mono.ids:
+    for i in mono:
         if seen & ~compat[i]:
             return False
         seen |= 1 << i
@@ -430,9 +464,9 @@ def enumerate_squarefree_standard(n: int, k: int) -> list[PartitionMonomial]:
     if k < 0:
         raise ValueError("degree must be nonnegative")
     pool = _walk_pool(n, "all", k)
-    make = PartitionMonomial._sorted
+    new, cls = tuple.__new__, _monomial_type(n)
     if k == 0:
-        return [make(n, ())]
+        return [new(cls, ())]
     bad = _conflict_masks(n)
     compat = _chain_compatible(n)
     out = []
@@ -446,7 +480,7 @@ def enumerate_squarefree_standard(n: int, k: int) -> list[PartitionMonomial]:
             while allowed:
                 low = allowed & -allowed
                 allowed ^= low
-                out.append(make(n, chosen + (low.bit_length() - 1,)))
+                out.append(new(cls, chosen + (low.bit_length() - 1,)))
             return
         while allowed:
             low = allowed & -allowed
@@ -463,9 +497,10 @@ def iter_squarefree_standard(n: int, variable_class: str = "all"):
     restricted to one variable class ('12-together' or '1-and-2-split')."""
     pool = _walk_pool(n, variable_class)
     bad = _conflict_masks(n)
+    new, cls = tuple.__new__, _monomial_type(n)
 
     def walk(chosen, allowed):
-        yield PartitionMonomial._sorted(n, chosen)
+        yield new(cls, chosen)
         while allowed:
             low = allowed & -allowed
             j = low.bit_length() - 1
@@ -520,14 +555,14 @@ def f_vector(n: int) -> list[int]:
     """Face counts (f_{-1}, f_0, ..., f_{2n-4}) of the initial-complex triangulation.
 
     f_{k-1} is the convolution sum over splitting a degree-k squarefree
-    standard monomial into its two class factors.
+    standard monomial into its two class factors: the coefficients of the
+    product of the two classes' count polynomials, whose degree is 2n - 3.
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    top = 2 * n - 3
-    type1 = [count_type1(n, k) for k in range(top + 1)]
-    type2 = [count_type2(n, k) for k in range(top + 1)]
-    return [sum(type1[a] * type2[k - a] for a in range(k + 1)) for k in range(top + 1)]
+    type1 = IntPolynomial(count_type1(n, k) for k in range(n))
+    type2 = IntPolynomial(count_type2(n, k) for k in range(n - 1))
+    return list((type1 * type2).coeffs)
 
 
 def count_standard_by_degree(n: int, m: int) -> int:
@@ -559,8 +594,8 @@ def format_binomial(b: CutBinomial) -> str:
     def var(i):
         return "q(" + ",".join(map(str, table.encode(i))) + ")"
 
-    lead = "*".join(var(i) for i in b.lead.ids)
-    trail = "*".join(var(i) for i in b.trail.ids)
+    lead = "*".join(map(var, b.lead))
+    trail = "*".join(map(var, b.trail))
     return f"{lead} - {trail}"
 
 
@@ -573,8 +608,8 @@ def basis_payload(binomials) -> list[dict]:
     return [
         {
             "family": b.family,
-            "lead": [list(table.encode(i)) for i in b.lead.ids],
-            "trail": [list(table.encode(i)) for i in b.trail.ids],
+            "lead": [list(table.encode(i)) for i in b.lead],
+            "trail": [list(table.encode(i)) for i in b.trail],
         }
         for b in binomials
     ]

@@ -193,23 +193,23 @@ def format_polynomial(p: IntPolynomial) -> str:
 # ---------------------------------------------------------------------------
 
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k), via the alternating sum.
+    """Stirling number of the second kind S(n, k), read off the cached row of n.
 
     Conventions: S(0, 0) = 1, S(n, 0) = 0 for n > 0, and 0 whenever k < 0 or
-    k > n.  The alternating sum counts surjections, so the result is the sum
-    divided (exactly) by k!.
+    k > n.
     """
-    if n < 0 or k < 0:
+    if n < 0 or not 0 <= k <= n:
         return 0
-    if k == 0:
-        return 1 if n == 0 else 0
-    if k > n:
-        return 0
-    total = sum((-1) ** (k - m) * m**n * math.comb(k, m) for m in range(1, k + 1))
-    quotient, remainder = divmod(total, math.factorial(k))
-    if remainder:
-        raise ArithmeticError(f"surjection count {total} not divisible by {k}!")
-    return quotient
+    return _stirling_row(n)[k]
+
+
+@lru_cache(maxsize=None)
+def _stirling_row(n: int) -> tuple[int, ...]:
+    """(S(n, 0), ..., S(n, n)) by the recurrence S(j, k) = k S(j-1, k) + S(j-1, k-1)."""
+    row = [1]
+    for j in range(1, n + 1):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, j)] + [1]
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
@@ -232,19 +232,18 @@ def f_to_h(f_coeffs, d: int) -> IntPolynomial:
     """h-polynomial of a d-dimensional complex from its f-vector.
 
     f_coeffs lists (f_{-1}, f_0, ..., f_{d}); the result is
-    sum_i f_{i-1} x^i (1-x)^(d+1-i), expanded exactly.
+    sum_i f_{i-1} x^i (1-x)^(d+1-i), expanded exactly by Horner's rule in
+    (1-x): h <- h (1-x) + f_{i-1} x^i for i = 0..d+1.
     """
     f_coeffs = list(f_coeffs)
     if not f_coeffs or f_coeffs[0] != 1:
         raise ValueError("f-vector must start with f_{-1} = 1")
     if len(f_coeffs) > d + 2:
         raise ValueError(f"f-vector of length {len(f_coeffs)} too long for dimension {d}")
-    one_minus_x = IntPolynomial((1, -1))
-    total = IntPolynomial(())
-    for i, f in enumerate(f_coeffs):
-        if f:
-            total = total + (f * one_minus_x ** (d + 1 - i)).shifted(i)
-    return total
+    h = []
+    for f in f_coeffs + [0] * (d + 2 - len(f_coeffs)):
+        h = [a - b for a, b in zip(h + [f], [0] + h)]
+    return IntPolynomial(h)
 
 
 def hstar_closed_form_k2m(n: int) -> IntPolynomial:

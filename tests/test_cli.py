@@ -360,6 +360,14 @@ class TestReportContract:
         assert out == ""
         assert json.loads(target.read_text())["normalized_volume"]["value"] == 72
 
+    def test_streamed_json_equals_the_one_shot_encoding(self, capsys, tmp_path):
+        # n = 7's basis encodes to more than one block of chunks
+        _, out, _ = run_cli(capsys, "--json", "gb", "7", "list")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        target = tmp_path / "list.json"
+        run_cli(capsys, "--json", "--out", str(target), "gb", "7", "list")
+        assert target.read_text(encoding="utf-8") == out
+
     def test_flags_after_subcommand(self, capsys):
         code, out, _ = run_cli(capsys, "closed-form", "5", "--json")
         assert code == EXIT_OK

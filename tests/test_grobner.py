@@ -1,9 +1,13 @@
 import ast
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
+import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -125,6 +129,26 @@ class TestPartitionMonomial:
         assert len({mono, same, PartitionMonomial(5, (2, 7))}) == 2
         with pytest.raises(dataclasses.FrozenInstanceError):
             mono.ids = (1,)
+
+    def test_the_monomial_is_its_ids_tuple(self):
+        mono = PartitionMonomial(5, (7, 2))
+        assert mono.ids is mono
+        assert sys.getsizeof(mono) == sys.getsizeof(tuple(mono))
+        assert mono == (2, 7) and (2, 7) == mono and hash(mono) == hash((2, 7))
+        other = PartitionMonomial(6, (2, 7))
+        assert other != mono and not other == mono and mono != other
+        assert other.n == 6 and mono.n == 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del mono.n
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mono.extra = 1
+
+    def test_pickle_deepcopy_and_repr(self):
+        for mono in (PartitionMonomial(5, (7, 2, 2)), PartitionMonomial(6, ())):
+            for copied in (pickle.loads(pickle.dumps(mono)), copy.deepcopy(mono)):
+                assert copied == mono and type(copied) is type(mono)
+            assert repr(mono) == f"PartitionMonomial(n={mono.n}, ids={tuple(mono)!r})"
+        assert repr(PartitionMonomial(6, ())) == "PartitionMonomial(n=6, ids=())"
 
 
 class TestMonomialOrder:
@@ -350,6 +374,19 @@ class TestStandardMonomials:
     def test_degree_zero(self):
         assert enumerate_squarefree_standard(5, 0) == [PartitionMonomial(5, ())]
 
+    def test_walk_result_memory(self):
+        # 81,180 monomials of 72 bytes each; a record around its ids tuple made
+        # each 120 bytes and the traced peak 9.97 MiB
+        enumerate_squarefree_standard(7, 1)  # the cached tables, built untraced
+        tracemalloc.start()
+        try:
+            monos = enumerate_squarefree_standard(7, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(monos) == 81180
+        assert peak <= 7.5 * 2**20, peak
+
     def test_enumeration_matches_is_standard(self):
         n = 4
         table = variable_table(n)
@@ -537,6 +574,14 @@ class TestFVector:
         from cutpoly.polynomial import f_to_h, hstar_closed_form_k2m
         for n in range(4, 8):
             assert f_to_h(f_vector(n), 2 * n - 4) == hstar_closed_form_k2m(n), n
+
+    def test_product_equals_the_direct_convolution(self):
+        for n in range(4, 61):
+            top = 2 * n - 3
+            type1 = [count_type1(n, k) for k in range(top + 1)]
+            type2 = [count_type2(n, k) for k in range(top + 1)]
+            assert f_vector(n) == [sum(type1[a] * type2[k - a] for a in range(k + 1))
+                                   for k in range(top + 1)], n
 
 
 class TestHilbertConsistency:

@@ -204,6 +204,18 @@ class TestFtoH:
         with pytest.raises(ValueError):
             f_to_h([1, 1, 1, 1], 1)
 
+    def test_horner_equals_term_by_term_expansion(self):
+        rng = random.Random(43)
+        one_minus_x = IntPolynomial((1, -1))
+        for _ in range(200):
+            d = rng.randint(-1, 30)
+            f = [1] + [rng.choice((0, rng.randint(-10**30, 10**30)))
+                       for _ in range(rng.randint(0, d + 1))]
+            expected = IntPolynomial(())
+            for i, c in enumerate(f):
+                expected = expected + (c * one_minus_x ** (d + 1 - i)).shifted(i)
+            assert f_to_h(f, d) == expected, (f, d)
+
 
 class TestClosedForm:
     def test_known_cases(self):
