@@ -11,8 +11,8 @@ importing one module, such as cutpoly.cli, does not import the others.
 
 _EXPORTS = {
     "errors": ("CostGuardError", "EdgeListParseError", "VerificationError"),
-    "graph": ("CutConfiguration", "Graph", "Partition", "complete_bipartite",
-              "configuration", "cut_polytope_vertices", "cut_vector", "cycle", "path"),
+    "graph": ("CutConfiguration", "Graph", "complete_bipartite", "configuration",
+              "cut_polytope_vertices", "cut_vector", "cycle", "path"),
     "lattice": ("LatticeBasis", "lattice_basis", "polytope_dimension"),
     "ehrhart": ("CountSequence", "count_lattice_points", "hstar_from_counts",
                 "hstar_polynomial", "membership_in_dilate", "semigroup_counts"),

@@ -43,38 +43,46 @@ class RunReport:
         return out
 
     def write(self, fh, as_json: bool) -> None:
-        """Write the report to `fh`, JSON in blocks of chunks as it is encoded
-        (json.dump's write per chunk costs more than the encoding on stdout)."""
+        """Write the report to `fh` in blocks of chunks as it is encoded
+        (a write per chunk costs more than the encoding on stdout)."""
+        import itertools
         if as_json:
-            import itertools
             import json
             chunks = json.JSONEncoder(indent=2).iterencode(self.payload())
-            for block in iter(lambda: "".join(itertools.islice(chunks, 8192)), ""):
-                fh.write(block)
-        fh.write("\n" if as_json else self.to_text())
+        else:
+            chunks = self.text_chunks()
+        for block in iter(lambda: "".join(itertools.islice(chunks, 8192)), ""):
+            fh.write(block)
+        if as_json:
+            fh.write("\n")
 
     def to_text(self) -> str:
-        lines = []
+        return "".join(self.text_chunks())
 
-        def emit_leaf(name, value):
+    def text_chunks(self):
+        """The text report in pieces: a "name: value" line per leaf, a list
+        leaf's items space-separated, a list of lists one row per line."""
+        def leaf(name, value):
             if isinstance(value, list) and value and isinstance(value[0], list):
-                lines.append(f"{name}:")
+                yield f"{name}:\n"
                 for row in value:
-                    lines.append("  " + " ".join(str(x) for x in row))
+                    yield "  " + " ".join(str(x) for x in row) + "\n"
             elif isinstance(value, list):
-                lines.append(f"{name}: " + " ".join(str(x) for x in value))
+                yield f"{name}: "
+                for i, x in enumerate(value):
+                    yield f" {x!s}" if i else str(x)
+                yield "\n"
             else:
-                lines.append(f"{name}: {value}")
+                yield f"{name}: {value}\n"
 
         def walk(prefix, value):
             if isinstance(value, dict):
                 for key, sub in value.items():
-                    walk(f"{prefix}.{key}" if prefix else key, sub)
+                    yield from walk(f"{prefix}.{key}" if prefix else key, sub)
             else:
-                emit_leaf(prefix, value)
+                yield from leaf(prefix, value)
 
-        walk("", self.payload())
-        return "\n".join(lines) + "\n"
+        return walk("", self.payload())
 
 
 def _graph_from_args(args) -> tuple[Graph, dict]:

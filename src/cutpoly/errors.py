@@ -1,5 +1,5 @@
-"""Shared exception types, and the strict integer parser behind every count
-and label cutpoly reads."""
+"""Shared exception types, the strict integer parser behind every count and
+label cutpoly reads, and the vertex-set bitmask behind every side it reads."""
 
 
 class CostGuardError(RuntimeError):
@@ -29,3 +29,18 @@ def ascii_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def as_mask(vertices, vertex_count: int) -> int:
+    """Bitmask of a vertex set of {1..vertex_count} (bit v-1 for vertex v),
+    given as vertices or as a mask; ValueError on a vertex out of range."""
+    if isinstance(vertices, int):
+        if vertices < 0 or vertices >= (1 << vertex_count):
+            raise ValueError(f"vertex mask {vertices} out of range for {vertex_count} vertices")
+        return vertices
+    mask = 0
+    for v in vertices:
+        if not 1 <= v <= vertex_count:
+            raise ValueError(f"vertex {v} out of range 1..{vertex_count}")
+        mask |= 1 << (v - 1)
+    return mask

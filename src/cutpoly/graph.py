@@ -1,4 +1,4 @@
-"""Graphs, vertex bipartitions, cut vectors, and cut-polytope configurations.
+"""Graphs, cut vectors, and cut-polytope configurations.
 
 Vertices are labeled 1..m and vertex subsets are held as bitmasks (bit v-1
 stands for vertex v).  The edge order of a graph is part of its identity: it
@@ -7,27 +7,28 @@ fixes the coordinate order of every cut vector.
 
 from __future__ import annotations
 
-from .errors import CostGuardError, EdgeListParseError, VerificationError, ascii_int
+from .errors import CostGuardError, EdgeListParseError, VerificationError, as_mask, ascii_int
 from .record import FrozenRecord
 
 MAX_VERTICES = 24  # 2^(m-1) cut vectors are enumerated; keep this desk-scale
 
 
-def _as_mask(vertices, vertex_count: int) -> int:
-    if isinstance(vertices, int):
-        if vertices < 0 or vertices >= (1 << vertex_count):
-            raise ValueError(f"vertex mask {vertices} out of range for {vertex_count} vertices")
-        return vertices
-    mask = 0
-    for v in vertices:
-        if not 1 <= v <= vertex_count:
-            raise ValueError(f"vertex {v} out of range 1..{vertex_count}")
-        mask |= 1 << (v - 1)
-    return mask
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+def _root_paths(vertex_count: int, edges) -> tuple:
+    """Per vertex v (at index v-1), the bitmask of the edge ids on its path from
+    vertex 1 in the breadth-first spanning tree that takes each vertex's edges
+    in input order; None for a vertex the search does not reach."""
+    adjacency = [[] for _ in range(vertex_count + 1)]
+    for idx, (u, v) in enumerate(edges):
+        adjacency[u].append((v, idx))
+        adjacency[v].append((u, idx))
+    above = [0] + [None] * (vertex_count - 1)
+    queue = [1]
+    for u in queue:  # the queue grows while it is read: breadth-first order
+        for w, idx in adjacency[u]:
+            if above[w - 1] is None:
+                above[w - 1] = above[u - 1] | 1 << idx
+                queue.append(w)
+    return tuple(above)
 
 
 class Graph:
@@ -38,7 +39,7 @@ class Graph:
     and more than MAX_VERTICES vertices.
     """
 
-    __slots__ = ("vertex_count", "edges", "_edge_masks")
+    __slots__ = ("vertex_count", "edges", "_edge_masks", "_root_paths")
 
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 1:
@@ -62,24 +63,9 @@ class Graph:
         self.vertex_count = vertex_count
         self.edges = tuple(normalized)
         self._edge_masks = tuple((1 << (u - 1)) | (1 << (v - 1)) for u, v in self.edges)
-        if not self._is_connected():
+        self._root_paths = _root_paths(vertex_count, self.edges)
+        if None in self._root_paths:
             raise ValueError("graph is not connected")
-
-    def _is_connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        adjacency = {v: [] for v in range(1, self.vertex_count + 1)}
-        for u, v in self.edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        seen = {1}
-        stack = [1]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
 
     @property
     def edge_count(self) -> int:
@@ -97,62 +83,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({self.vertex_count}, {list(self.edges)})"
-
-
-class Partition:
-    """Unordered bipartition A|B of {1..n}, stored canonically.
-
-    The canonical A side is the side not containing vertex 1, so A|B and B|A
-    compare and hash identically.
-    """
-
-    __slots__ = ("vertex_count", "a_mask")
-
-    def __init__(self, vertex_count: int, side):
-        mask = _as_mask(side, vertex_count)
-        full = (1 << vertex_count) - 1
-        if mask & 1:
-            mask = full & ~mask
-        self.vertex_count = vertex_count
-        self.a_mask = mask
-
-    @property
-    def a_side(self) -> frozenset[int]:
-        return _mask_to_set(self.a_mask)
-
-    @property
-    def b_side(self) -> frozenset[int]:
-        full = (1 << self.vertex_count) - 1
-        return _mask_to_set(full & ~self.a_mask)
-
-    @property
-    def min_size(self) -> int:
-        a = self.a_mask.bit_count()
-        return min(a, self.vertex_count - a)
-
-    @property
-    def splits_12(self) -> bool:
-        """True when vertices 1 and 2 lie on opposite sides."""
-        return bool(self.a_mask >> 1 & 1)
-
-    def encode(self) -> tuple[int, ...]:
-        """Sorted vertex tuple of the side not containing vertex 1."""
-        return tuple(sorted(self.a_side))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Partition)
-            and self.vertex_count == other.vertex_count
-            and self.a_mask == other.a_mask
-        )
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.a_mask))
-
-    def __repr__(self):
-        a = ",".join(map(str, sorted(self.a_side)))
-        b = ",".join(map(str, sorted(self.b_side)))
-        return f"Partition({{{a}}}|{{{b}}})"
 
 
 class CutConfiguration(FrozenRecord):
@@ -185,13 +115,8 @@ def cut_vector(g: Graph, a) -> tuple[int, ...]:
     Coordinate i is 1 iff edge e_i has exactly one endpoint in `a`; the result
     is invariant under replacing `a` by its complement.
     """
-    mask = _as_mask(a, g.vertex_count)
+    mask = as_mask(a, g.vertex_count)
     return tuple(1 if (mask & em).bit_count() == 1 else 0 for em in g._edge_masks)
-
-
-def all_partitions(vertex_count: int) -> list[Partition]:
-    """All 2^(n-1) canonical bipartitions, ordered by canonical encoding."""
-    return [Partition(vertex_count, m << 1) for m in range(1 << (vertex_count - 1))]
 
 
 # Entries one configuration may hold, 2^(m-1) columns of |E| + 1: path(12)
@@ -257,47 +182,17 @@ def path(edge_count: int) -> Graph:
 def fundamental_cycles(g: Graph) -> list[list[int]]:
     """Edge-index cycles from a BFS spanning tree rooted at vertex 1.
 
-    One cycle per non-tree edge: the tree path between its endpoints plus the
-    edge itself.  Empty for trees.
+    One cycle per non-tree edge: the tree path between its endpoints, the
+    symmetric difference of their root paths, plus the edge itself, as
+    ascending edge ids.  Empty for trees.
     """
-    parent = {1: None}
-    parent_edge = {}
-    order = [1]
-    adjacency = {v: [] for v in range(1, g.vertex_count + 1)}
-    for idx, (u, v) in enumerate(g.edges):
-        adjacency[u].append((v, idx))
-        adjacency[v].append((u, idx))
-    queue = [1]
-    tree_edges = set()
-    while queue:
-        u = queue.pop(0)
-        for w, idx in adjacency[u]:
-            if w not in parent:
-                parent[w] = u
-                parent_edge[w] = idx
-                tree_edges.add(idx)
-                order.append(w)
-                queue.append(w)
-    depth = {1: 0}
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
+    above = g._root_paths
     cycles = []
     for idx, (u, v) in enumerate(g.edges):
-        if idx in tree_edges:
-            continue
-        path_edges = [idx]
-        a, b = u, v
-        while depth[a] > depth[b]:
-            path_edges.append(parent_edge[a])
-            a = parent[a]
-        while depth[b] > depth[a]:
-            path_edges.append(parent_edge[b])
-            b = parent[b]
-        while a != b:
-            path_edges.append(parent_edge[a])
-            path_edges.append(parent_edge[b])
-            a, b = parent[a], parent[b]
-        cycles.append(sorted(path_edges))
+        tree_path = above[u - 1] ^ above[v - 1]
+        if tree_path != 1 << idx:  # only a tree edge's endpoints differ by itself
+            mask = tree_path | 1 << idx
+            cycles.append([e for e in range(mask.bit_length()) if mask >> e & 1])
     return cycles
 
 

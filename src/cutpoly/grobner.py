@@ -14,37 +14,43 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import CostGuardError, VerificationError
-from .graph import Partition, all_partitions
+from .errors import CostGuardError, VerificationError, as_mask
 from .polynomial import IntPolynomial, stirling2
 from .record import FrozenRecord
 
 
 class VariableTable:
-    """All 2^(n-1) partition variables of [n]: `variables[i]` is the Partition
-    of q_i, ascending in the monomial order.
+    """All 2^(n-1) partition variables of [n]: `masks[i]` is q_i's canonical
+    side, the side not containing vertex 1, as an even bitmask (bit v-1 for
+    vertex v), ascending in the monomial order.
 
-    The order ascends by min side size, then puts split-pattern before
-    12-together, then compares the encoding of the side not containing vertex 1.
+    The order ascends by min side size, then puts split-pattern (vertex 2 in
+    the mask) before 12-together, then compares the encoding of the mask.
     """
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("need at least 2 vertices")
         self.n = n
-        self.variables = tuple(sorted(
-            all_partitions(n), key=lambda p: (p.min_size, not p.splits_12, p.encode())))
-        self._index_by_mask = {p.a_mask: i for i, p in enumerate(self.variables)}
-        self._encodings = tuple(p.encode() for p in self.variables)
+        encoding = {m: tuple(v for v in range(2, n + 1) if m >> (v - 1) & 1)
+                    for m in range(0, 1 << n, 2)}
+
+        def key(m):
+            size = m.bit_count()
+            return min(size, n - size), not m & 2, encoding[m]
+
+        self.masks = tuple(sorted(encoding, key=key))
+        self._index_by_mask = {m: i for i, m in enumerate(self.masks)}
+        self._encodings = tuple(map(encoding.get, self.masks))
 
     def __len__(self):
-        return len(self.variables)
+        return len(self.masks)
 
     def index_of(self, side) -> int:
-        """Variable index of the partition separating `side` from its complement."""
-        if isinstance(side, Partition):
-            return self._index_by_mask[side.a_mask]
-        return self._index_by_mask[Partition(self.n, side).a_mask]
+        """Variable index of the partition separating `side`, vertices or a
+        mask, from its complement."""
+        mask = as_mask(side, self.n)
+        return self._index_by_mask[mask ^ ((1 << self.n) - 1) if mask & 1 else mask]
 
     def encode(self, index: int) -> tuple[int, ...]:
         return self._encodings[index]
@@ -82,11 +88,6 @@ class PartitionMonomial(tuple):
 
     def __new__(cls, n: int, ids: tuple[int, ...]):
         return tuple.__new__(_monomial_type(n), sorted(ids))
-
-    @classmethod
-    def _sorted(cls, n: int, ids: tuple[int, ...]) -> "PartitionMonomial":
-        """Trusted constructor for `ids` already ascending; skips the sort."""
-        return tuple.__new__(_monomial_type(n), ids)
 
     def __eq__(self, other):
         if isinstance(other, PartitionMonomial) and other.n != self.n:
@@ -353,20 +354,19 @@ def _standard_pool(n: int, variable_class: str) -> int:
     (type 1) or '1-and-2-split' (type 2)."""
     if n < 4:
         raise ValueError("need n >= 4")
-    keep = {"all": (False, True), "12-together": (False,), "1-and-2-split": (True,)}[variable_class]
-    return sum(1 << i for i, p in enumerate(variable_table(n).variables) if p.splits_12 in keep)
+    keep = {"all": (0, 2), "12-together": (0,), "1-and-2-split": (2,)}[variable_class]
+    return sum(1 << i for i, m in enumerate(variable_table(n).masks) if (m & 2) in keep)
 
 
 @lru_cache(maxsize=None)
 def _independent_set_counts(n: int, pool: int) -> tuple[int, ...]:
     """Independent sets of the conflict graph within `pool`, by size, as chains along
-    the variables sorted by (splits_12, side size): P_v = x (1 + sum of P_u over the
+    the variables sorted by (split, side size): P_v = x (1 + sum of P_u over the
     fitting u before v).  The first intransitive triple t < u < v is split on once,
     into the sets without v and v with its fits; a second raises VerificationError."""
     bad = _conflict_masks(n)
-    variables = variable_table(n).variables
-    order = sorted(range(len(bad)), key=lambda i: (
-        variables[i].splits_12, variables[i].a_mask.bit_count()))
+    masks = variable_table(n).masks
+    order = sorted(range(len(bad)), key=lambda i: (masks[i] & 2, masks[i].bit_count()))
 
     def chains(pool, may_split):
         fits, ending, seen = {}, {}, 0
@@ -404,14 +404,13 @@ def _walk_pool(n: int, variable_class: str, degree: int | None = None) -> int:
     return pool
 
 
-def _chain_masks(n: int) -> tuple[tuple[bool, int], ...]:
-    """Per variable, (splits_12, mask over {3..n}): for a split variable the
-    set A' where its vertex-1 side is {1} u A', for a together variable its
-    side not containing 1 or 2 (bit v-1 for vertex v)."""
+def _chain_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """Per variable, (split, mask over {3..n}), split when vertex 2 is in its
+    canonical side: for a split variable the set A' where its vertex-1 side is
+    {1} u A', for a together variable its side not containing 1 or 2 (bit v-1
+    for vertex v)."""
     rest = ((1 << n) - 1) & ~0b11
-    return tuple(
-        (p.splits_12, rest & ~(p.a_mask & ~0b10) if p.splits_12 else p.a_mask)
-        for p in variable_table(n).variables)
+    return tuple((m & 2, rest & ~m if m & 2 else m) for m in variable_table(n).masks)
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ determinants run rational Gaussian elimination, Stirling numbers enumerate set
 partitions, lattice membership does a bounded exhaustive coefficient search,
 Eulerian polynomials count descents over all permutations, dilate counts are
 read back off an h*-polynomial, trees are built from explicit edge lists,
+fundamental cycles climb parent pointers to the endpoints' common ancestor,
 semigroup layers are swept as tuple sumsets, the basis-binomial oracle
 rebuilds every relation from ordered partition pairs, the chain test compares
 frozensets, standard monomials of a degree are filtered out of all
@@ -125,6 +126,37 @@ def tree_from_edges(edges) -> Graph:
     if g.edge_count != m - 1:
         raise ValueError("edge list is connected but not acyclic")
     return g
+
+
+def fundamental_cycles_by_climb(g: Graph) -> list[list[int]]:
+    """One sorted edge-index cycle per non-tree edge of the BFS tree from
+    vertex 1 that takes each vertex's edges in input order: the edge plus the
+    tree edges met climbing both endpoints to their common ancestor."""
+    adjacency = {v: [] for v in range(1, g.vertex_count + 1)}
+    for idx, (u, v) in enumerate(g.edges):
+        adjacency[u].append((v, idx))
+        adjacency[v].append((u, idx))
+    parent, depth = {1: (None, None)}, {1: 0}
+    queue = [1]
+    while queue:
+        u = queue.pop(0)
+        for w, idx in adjacency[u]:
+            if w not in parent:
+                parent[w], depth[w] = (u, idx), depth[u] + 1
+                queue.append(w)
+    tree = {idx for _, idx in parent.values()}
+    cycles = []
+    for idx, (a, b) in enumerate(g.edges):
+        if idx in tree:
+            continue
+        found = [idx]
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, up = parent[a]
+            found.append(up)
+        cycles.append(sorted(found))
+    return cycles
 
 
 def sumset_layer_sizes(columns, max_dilate: int) -> list[int]:
@@ -253,11 +285,11 @@ def pattern_split(mono):
     together = []
     split = []
     for i in mono.ids:
-        p = table.variables[i]
-        if p.splits_12:
-            split.append(rest - (p.a_side - {2}))
+        side = frozenset(table.encode(i))  # the side not containing vertex 1
+        if 2 in side:
+            split.append(rest - (side - {2}))
         else:
-            together.append(p.a_side)
+            together.append(side)
     return together, split
 
 

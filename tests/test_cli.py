@@ -17,6 +17,28 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def text_by_lines(payload) -> str:
+    """A report's text rendered whole from its JSON payload: one "name: value"
+    line per leaf, a list's items space-separated, a list of lists one
+    indented row per line."""
+    lines = []
+
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for key, sub in value.items():
+                walk(f"{prefix}.{key}" if prefix else key, sub)
+        elif isinstance(value, list) and value and isinstance(value[0], list):
+            lines.append(f"{prefix}:")
+            lines.extend("  " + " ".join(map(str, row)) for row in value)
+        elif isinstance(value, list):
+            lines.append(f"{prefix}: " + " ".join(map(str, value)))
+        else:
+            lines.append(f"{prefix}: {value}")
+
+    walk("", payload)
+    return "\n".join(lines) + "\n"
+
+
 class TestVertices:
     def test_cycle4_lists_eight_rows(self, capsys):
         code, out, _ = run_cli(capsys, "vertices", "--cycle", "4")
@@ -367,6 +389,18 @@ class TestReportContract:
         target = tmp_path / "list.json"
         run_cli(capsys, "--json", "--out", str(target), "gb", "7", "list")
         assert target.read_text(encoding="utf-8") == out
+
+    def test_streamed_text_equals_the_one_shot_rendering(self, capsys, tmp_path):
+        # gb 7 list spans several blocks of chunks; vertices holds a list of
+        # lists, gb 4 verify an empty list (certificate.failures)
+        for argv in (["gb", "7", "list"], ["vertices", "--cycle", "4"], ["gb", "4", "verify"]):
+            _, as_json, _ = run_cli(capsys, "--json", *argv)
+            _, as_text, _ = run_cli(capsys, *argv)
+            assert as_text == text_by_lines(json.loads(as_json)), argv
+        assert "certificate.failures: \n" in as_text
+        target = tmp_path / "list.txt"
+        run_cli(capsys, "--out", str(target), "gb", "7", "list")
+        assert target.read_text(encoding="utf-8") == run_cli(capsys, "gb", "7", "list")[1]
 
     def test_flags_after_subcommand(self, capsys):
         code, out, _ = run_cli(capsys, "closed-form", "5", "--json")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -6,8 +7,6 @@ import pytest
 from cutpoly.errors import CostGuardError, EdgeListParseError
 from cutpoly.graph import (
     Graph,
-    Partition,
-    all_partitions,
     complete_bipartite,
     configuration,
     cut_polytope_vertices,
@@ -19,7 +18,7 @@ from cutpoly.graph import (
     read_edge_list,
 )
 
-from oracles import tree_from_edges
+from oracles import fundamental_cycles_by_climb, tree_from_edges
 
 # the eight cut vectors of the 4-cycle with edges {1,2},{2,3},{3,4},{1,4}
 C4_VERTICES = {
@@ -88,31 +87,6 @@ class TestGraphConstruction:
             Graph(25, [(i, i + 1) for i in range(1, 25)])
 
 
-class TestPartition:
-    def test_canonical_side_excludes_vertex_1(self):
-        p = Partition(5, {1, 3})
-        q = Partition(5, {2, 4, 5})
-        assert p == q
-        assert p.a_side == frozenset({2, 4, 5})
-        assert 1 in p.b_side
-
-    def test_min_size_and_pattern(self):
-        assert Partition(5, set()).min_size == 0
-        assert Partition(5, {3}).min_size == 1
-        assert Partition(5, {1}).splits_12 is True  # a side becomes {2,3,4,5}
-        assert Partition(5, {3}).splits_12 is False
-
-    def test_all_partitions_count(self):
-        for n in (2, 3, 4, 5):
-            parts = all_partitions(n)
-            assert len(parts) == 2 ** (n - 1)
-            assert len(set(parts)) == len(parts)
-
-    def test_rejects_bad_vertices(self):
-        with pytest.raises(ValueError):
-            Partition(4, {5})
-
-
 class TestCutVectors:
     def test_c4_worked_example(self):
         g = cycle(4)
@@ -174,12 +148,12 @@ class TestConfiguration:
         g = cycle(4)
         cfg = configuration(g)
         expected = sorted(
-            1 + sum(cut_vector(g, p.a_mask)) for p in all_partitions(4))
+            1 + sum(cut_vector(g, m)) for m in range(0, 1 << 4, 2))
         assert sorted(sum(col) for col in cfg.columns) == expected
 
     def test_columns_in_canonical_partition_order(self):
         g = complete_bipartite(2, 3)
-        assert cut_polytope_vertices(g) == [cut_vector(g, p.a_mask) for p in all_partitions(5)]
+        assert cut_polytope_vertices(g) == [cut_vector(g, m) for m in range(0, 1 << 5, 2)]
 
     def test_entry_guard_refuses_before_the_first_vector(self):
         # 2^(m-1) columns of |E| + 1 entries: path(12) holds 53,248 and is
@@ -213,6 +187,22 @@ class TestFundamentalCycles:
         for v in cut_polytope_vertices(g):
             for cyc in cycles:
                 assert sum(v[i] for i in cyc) % 2 == 0
+
+    def test_every_connected_graph_up_to_five_vertices_in_both_edge_orders(self):
+        checked = 0
+        for m in range(1, 6):
+            pairs = list(itertools.combinations(range(1, m + 1), 2))
+            for bits in range(1 << len(pairs)):
+                edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
+                try:
+                    Graph(m, edges)
+                except ValueError:
+                    continue  # disconnected
+                for order in (edges, edges[::-1]):
+                    g = Graph(m, order)
+                    assert fundamental_cycles(g) == fundamental_cycles_by_climb(g)
+                checked += 1
+        assert checked == 1 + 1 + 4 + 38 + 728  # connected labelled graphs, OEIS A001187
 
 
 class TestEdgeListFormat:

@@ -92,30 +92,46 @@ def listed_n5_canonical():
     return {(canon(lead), canon(trail)) for lead, trail in LISTED_N5}
 
 
+def side_classes(n):
+    """Per variable of [n], (smaller side's size, class), read off its encoding,
+    the side not containing vertex 1."""
+    table = variable_table(n)
+    return [(min(len(side), n - len(side)), "1-and-2-split" if 2 in side else "12-together")
+            for side in map(table.encode, range(len(table)))]
+
+
 class TestVariableOrder:
     def test_counts(self):
-        for n in (4, 5, 6):
-            assert len(variable_table(n)) == 2 ** (n - 1)
+        for n in (2, 3, 4, 5, 6):
+            table = variable_table(n)
+            assert len(table) == 2 ** (n - 1)
+            assert len({table.encode(i) for i in range(len(table))}) == len(table)
 
     def test_empty_partition_is_smallest(self):
         table = variable_table(5)
         assert table.encode(0) == ()
-        assert table.variables[0].min_size == 0
+        assert side_classes(5)[0][0] == 0
 
     def test_min_size_is_primary(self):
-        table = variable_table(5)
-        sizes = [v.min_size for v in table.variables]
+        sizes = [size for size, _ in side_classes(5)]
         assert sizes == sorted(sizes)
 
     def test_split_precedes_together_within_min_size(self):
-        table = variable_table(5)
-        by_class = [(v.min_size, "1-and-2-split" if v.splits_12 else "12-together")
-                    for v in table.variables]
+        by_class = side_classes(5)
         for size in (1, 2):
             patterns = [p for s, p in by_class if s == size]
             boundary = patterns.index("12-together")
             assert all(p == "1-and-2-split" for p in patterns[:boundary])
             assert all(p == "12-together" for p in patterns[boundary:])
+
+    def test_index_of_reads_either_side_as_vertices_or_mask(self):
+        table = variable_table(5)
+        i = table.index_of({1, 3})
+        assert table.encode(i) == (2, 4, 5)
+        assert table.index_of({2, 4, 5}) == table.index_of(0b11010) == table.index_of(0b00101) == i
+        for bad in ({5, 6}, {0}, 1 << 5, -1):
+            with pytest.raises(ValueError):
+                table.index_of(bad)
 
 
 class TestPartitionMonomial:

@@ -32,9 +32,13 @@ parser = sorted(set(sys.modules) - before)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cutpoly.cli.main(["closed-form", "5"])
 closed_form = sorted(set(sys.modules) - before)
+with contextlib.redirect_stdout(io.StringIO()):
+    gb_code = cutpoly.cli.main(["gb", "5", "fvector"])
+gb_fvector = sorted(set(sys.modules) - before)
 # the package still reaches a submodule that nothing has imported
 lattice_attribute = cutpoly.lattice.lattice_basis is cutpoly.lattice_basis
 print(json.dumps({"parser": parser, "closed_form": closed_form, "code": code,
+                  "gb_fvector": gb_fvector, "gb_code": gb_code,
                   "lattice_attribute": lattice_attribute}))
 """
 
@@ -55,6 +59,10 @@ class TestStartup:
         assert "cutpoly.polynomial" in added["closed_form"]
         for name in (*ROUTE_MODULES, "cutpoly.graph"):
             assert name not in added["closed_form"], name
+        assert added["gb_code"] == 0
+        assert "cutpoly.grobner" in added["gb_fvector"]
+        for name in ("cutpoly.ehrhart", "cutpoly.graph", "cutpoly.lattice"):
+            assert name not in added["gb_fvector"], name
         assert added["lattice_attribute"]
 
 
