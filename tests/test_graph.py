@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from cutpoly.errors import CostGuardError, EdgeListParseError
+from cutpoly.errors import CostGuardError, EdgeListParseError, as_mask
 from cutpoly.graph import (
     Graph,
     complete_bipartite,
@@ -85,6 +85,30 @@ class TestGraphConstruction:
     def test_vertex_cap(self):
         with pytest.raises(ValueError):
             Graph(25, [(i, i + 1) for i in range(1, 25)])
+
+
+class TestPartition:
+    """A bipartition is named by its canonical side, the side not containing
+    vertex 1, as an even mask; the vertices are listed in that mask order."""
+
+    def test_canonical_side_excludes_vertex_1(self):
+        g = complete_bipartite(2, 3)
+        side = as_mask({2, 4, 5}, 5)
+        assert side & 1 == 0
+        assert as_mask({1, 3}, 5) == side ^ 0b11111
+        assert cut_vector(g, {1, 3}) == cut_vector(g, {2, 4, 5}) == cut_vector(g, side)
+        assert cut_polytope_vertices(g)[side >> 1] == cut_vector(g, {1, 3})
+
+    def test_all_partitions_count(self):
+        for n in (2, 3, 4, 5):
+            vertices = cut_polytope_vertices(path(n - 1))  # a tree's cuts are distinct
+            assert len(vertices) == 2 ** (n - 1)
+            assert len(set(vertices)) == len(vertices)
+
+    def test_rejects_bad_vertices(self):
+        for bad in ({5}, {0}, 1 << 4, -1):
+            with pytest.raises(ValueError):
+                as_mask(bad, 4)
 
 
 class TestCutVectors:
