@@ -22,7 +22,7 @@ import math
 import random
 from operator import itemgetter
 
-from .errors import CostGuardError, VerificationError
+from .errors import CostGuardError, VerificationError, shown
 from .graph import fundamental_cycles
 from .polynomial import IntPolynomial, stirling2
 from .record import FrozenRecord
@@ -133,7 +133,7 @@ def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
     least = steps * (top * max_dilate * (max_dilate - 1) // 2 + max_dilate)
     if least > SEMIGROUP_BIT_LIMIT:
         raise CostGuardError(
-            f"semigroup sumset refused at dilate 1: at least {least} bits shifted "
+            f"semigroup sumset refused at dilate 1: at least {shown(least)} bits shifted "
             f"through dilate {max_dilate}, over the limit {SEMIGROUP_BIT_LIMIT}")
     layer, fresh = {0: 1}, {0: 1}
     sizes, shifted = [1], 0
@@ -513,7 +513,7 @@ def check_lp_cost(cfg, max_dilate: int | None = None) -> None:
     candidates = _box_candidates(walked, M)
     if candidates > LP_CANDIDATE_LIMIT:
         raise CostGuardError(
-            f"lp route refused: {candidates} box candidates for dilates 0..{M}, "
+            f"lp route refused: {shown(candidates)} box candidates for dilates 0..{M}, "
             f"over the limit {LP_CANDIDATE_LIMIT}")
 
 

@@ -44,3 +44,15 @@ def as_mask(vertices, vertex_count: int) -> int:
             raise ValueError(f"vertex {v} out of range 1..{vertex_count}")
         mask |= 1 << (v - 1)
     return mask
+
+
+def shown(value: int | None, bits: int = 0) -> str:
+    """A guard's estimate: `value` in decimal or, when it has more digits than
+    Python converts to text (sys.get_int_max_str_digits()), the power of two it
+    reaches.  A value too large to build is None, with its bit length `bits`."""
+    if value is not None:
+        try:
+            return str(value)
+        except ValueError:
+            bits = value.bit_length()
+    return f"2^{bits - 1} or more"

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from functools import lru_cache
 
-from .errors import CostGuardError, VerificationError, as_mask
+from .errors import CostGuardError, VerificationError, as_mask, shown
 from .polynomial import IntPolynomial, stirling2
 from .record import FrozenRecord
 
@@ -63,12 +64,16 @@ GB_BASIS_LIMIT = 1_000_000
 @lru_cache(maxsize=None)
 def variable_table(n: int) -> VariableTable:
     """Refused before it is built when the basis of [n] would hold more than
-    GB_BASIS_LIMIT binomials: 2 C(2^k, 2) - 2 (3^k - 2^k) + 1 with k = n - 2."""
+    GB_BASIS_LIMIT binomials: 2 C(2^k, 2) - 2 (3^k - 2^k) + 1 with k = n - 2,
+    in [2^(2k-1), 2^(2k)) from k = 5 on.  Past the digits Python prints
+    (2^10 > 10^3; a nonzero limit is at least 640) that size is not built."""
     k = max(n - 2, 0)
-    size = 2 * math.comb(2 ** k, 2) - 2 * (3 ** k - 2 ** k) + 1
-    if size > GB_BASIS_LIMIT:
-        raise CostGuardError(f"Groebner basis refused for n = {n}: {size} binomials "
-                             f"estimated, limit {GB_BASIS_LIMIT}")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    unbuilt = k >= 5 and digits and 3 * (2 * k - 1) >= 10 * digits
+    size = None if unbuilt else 2 * math.comb(2 ** k, 2) - 2 * (3 ** k - 2 ** k) + 1
+    if unbuilt or size > GB_BASIS_LIMIT:
+        raise CostGuardError(f"Groebner basis refused for n = {n}: {shown(size, 2 * k)} "
+                             f"binomials estimated, limit {GB_BASIS_LIMIT}")
     return VariableTable(n)
 
 
@@ -225,60 +230,19 @@ def _lead_dividing(ids, leads):
 
 
 # ---------------------------------------------------------------------------
-# reduction and Buchberger verification
+# normal forms and Buchberger verification
 # ---------------------------------------------------------------------------
 
-def _rewrite(mono: PartitionMonomial, binom: CutBinomial) -> PartitionMonomial:
-    ids = list(mono)
-    for v in binom.lead:
-        ids.remove(v)
-    ids.extend(binom.trail)
-    return PartitionMonomial(mono.n, ids)
-
-
-def reduce(poly, gb) -> dict[PartitionMonomial, int]:
-    """Normal form of an integer combination of monomials against the basis.
-
-    Repeatedly rewrites the largest reducible term lead*u -> trail*u.  Each
-    rewrite strictly decreases the term in the monomial order, so the loop
-    terminates; the result has no term divisible by any lead.
-    """
-    return _reduce(poly, {tuple(b.lead): b for b in gb})
-
-
-def _reduce(poly, lead_map) -> dict[PartitionMonomial, int]:
-    """`reduce` against a basis given as a map from each lead's ids, a plain
-    tuple, to its binomial."""
-    if isinstance(poly, PartitionMonomial):
-        poly = {poly: 1}
-    terms = {m: c for m, c in poly.items() if c}
-    while True:
-        best = None
-        best_binom = None
-        for mono in terms:
-            pair = _lead_dividing(mono, lead_map)
-            if pair is None:
-                continue
-            if best is None or monomial_order_cmp(mono, best) > 0:
-                best, best_binom = mono, lead_map[pair]
-        if best is None:
-            return terms
-        coeff = terms.pop(best)
-        new = _rewrite(best, best_binom)
-        total = terms.get(new, 0) + coeff
-        if total:
-            terms[new] = total
-        else:
-            terms.pop(new, None)
-
-
-def s_polynomial(g1: CutBinomial, g2: CutBinomial) -> dict[PartitionMonomial, int]:
-    """S-polynomial (lcm/lead1)*g1 - (lcm/lead2)*g2 as a term dict; the leads
-    are squarefree, so their lcm is the product of their support."""
-    support = set(g1.lead) | set(g2.lead)
-    m1, m2 = (PartitionMonomial(g.lead.n, tuple(support.difference(g.lead)) + g.trail)
-              for g in (g1, g2))
-    return {} if m1 == m2 else {m1: 1, m2: -1}
+def _normal_form(ids: tuple, trails) -> tuple:
+    """Normal form of the monomial with ascending variable ids `ids` against
+    `trails`, each lead's id pair to its trail's: the first lead dividing it is
+    rewritten to its trail, lowering it in the order, until none divides it."""
+    while (pair := _lead_dividing(ids, trails)) is not None:
+        rest = list(ids)
+        rest.remove(pair[0])
+        rest.remove(pair[1])
+        ids = tuple(sorted(rest + list(trails[pair])))
+    return ids
 
 
 # S-pairs one Buchberger check may reduce: 117,600 at n = 8, 1,178,436 at n = 9.
@@ -301,7 +265,7 @@ def buchberger_check(n: int) -> tuple[bool, dict]:
         raise CostGuardError(f"Buchberger check refused for n = {n}: {estimate} lead-sharing "
                              f"S-pairs estimated, limit {BUCHBERGER_PAIR_LIMIT}")
     gb = generate_gb(n)
-    lead_map = {tuple(b.lead): b for b in gb}
+    trails = {tuple(b.lead): tuple(b.trail) for b in gb}
     through = [[] for _ in range(len(variable_table(n)))]
     for a, b in enumerate(gb):
         for v in b.lead:
@@ -310,12 +274,15 @@ def buchberger_check(n: int) -> tuple[bool, dict]:
         itertools.combinations(ids, 2) for ids in through))
     failures = []
     for a, b in pairs:
-        normal_form = _reduce(s_polynomial(gb[a], gb[b]), lead_map)
-        if normal_form:
+        # the S-polynomial (lcm/lead_a) trail_a - (lcm/lead_b) trail_b reduces
+        # to zero when its two monomials share a normal form
+        support = set(gb[a].lead) | set(gb[b].lead)
+        plus, minus = (_normal_form(tuple(sorted((*support.difference(g.lead), *g.trail))), trails)
+                       for g in (gb[a], gb[b]))
+        if plus != minus:
             failures.append({
                 "pair": [a, b],
-                "normal_form": {str(tuple(m)): c for m, c in sorted(
-                    normal_form.items(), key=lambda kv: tuple(kv[0]))},
+                "normal_form": {str(m): c for m, c in sorted([(plus, 1), (minus, -1)])},
             })
     total = math.comb(len(gb), 2)
     certificate = {
@@ -432,22 +399,6 @@ def _chain_compatible(n: int) -> tuple[int, ...]:
                 fits |= 1 << j
         out.append(fits)
     return tuple(out)
-
-
-def chain_characterization_holds(mono: PartitionMonomial) -> bool:
-    """Nested-chain test equivalent to standardness for squarefree monomials.
-
-    Both variable classes must form strict inclusion chains, and the split
-    class must not stretch from the empty set to all of {3..n}: each variable
-    must be compatible, in `_chain_compatible`, with every one before it.
-    """
-    compat = _chain_compatible(mono.n)
-    seen = 0
-    for i in mono:
-        if seen & ~compat[i]:
-            return False
-        seen |= 1 << i
-    return True
 
 
 def enumerate_squarefree_standard(n: int, k: int) -> list[PartitionMonomial]:

@@ -7,10 +7,10 @@ Eulerian polynomials count descents over all permutations, dilate counts are
 read back off an h*-polynomial, trees are built from explicit edge lists,
 fundamental cycles climb parent pointers to the endpoints' common ancestor,
 semigroup layers are swept as tuple sumsets, the basis-binomial oracle
-rebuilds every relation from ordered partition pairs, the chain test compares
-frozensets, standard monomials of a degree are filtered out of all
-monomials of that degree, and polynomials multiply by the schoolbook double
-sum.
+rebuilds every relation from ordered partition pairs, S-polynomials reduce as
+dicts of terms, the chain test compares frozensets, standard monomials of a
+degree are filtered out of all monomials of that degree, and polynomials
+multiply by the schoolbook double sum.
 """
 
 from fractions import Fraction
@@ -272,6 +272,56 @@ def cut_ideal_basis_by_pairs(n: int):
             if 1 in a_set & c_set and 2 in a_set & c_set:
                 found.add((3, lead, trail))
     return found
+
+
+def reduce_by_terms(poly, trails) -> dict:
+    """Normal form of an integer combination of monomials, {ascending id
+    tuple: coefficient}, against a quadratic basis {lead pair: trail pair}.
+
+    Rewrites the largest term that a lead divides, by the smallest such lead,
+    until no lead divides any term.  Terms of one degree compare as tuples,
+    which is the reverse lexicographic order on ascending ids.
+    """
+    terms = {m: c for m, c in poly.items() if c}
+    while True:
+        reducible = {}
+        for m in terms:
+            dividing = [pair for pair in itertools.combinations(sorted(set(m)), 2)
+                        if pair in trails]
+            if dividing:
+                reducible[m] = min(dividing)
+        if not reducible:
+            return terms
+        m = max(reducible)
+        lead = reducible[m]
+        rest = list(m)
+        for v in lead:
+            rest.remove(v)
+        new = tuple(sorted(rest + list(trails[lead])))
+        total = terms.get(new, 0) + terms.pop(m)
+        if total:
+            terms[new] = total
+        else:
+            terms.pop(new, None)
+
+
+def buchberger_failures_by_terms(gb) -> list[dict]:
+    """Every pair a < b of basis binomials whose leads share a variable and
+    whose S-polynomial does not reduce to zero by `reduce_by_terms`, in the
+    failure format of the Buchberger certificate."""
+    trails = {tuple(b.lead): tuple(b.trail) for b in gb}
+    failures = []
+    for (a, ga), (b, gb_) in itertools.combinations(enumerate(gb), 2):
+        if not set(ga.lead) & set(gb_.lead):
+            continue
+        support = set(ga.lead) | set(gb_.lead)
+        plus, minus = (tuple(sorted(list(support - set(g.lead)) + list(g.trail)))
+                       for g in (ga, gb_))
+        normal_form = reduce_by_terms({plus: 1, minus: -1} if plus != minus else {}, trails)
+        if normal_form:
+            failures.append({"pair": [a, b], "normal_form": {
+                str(m): c for m, c in sorted(normal_form.items())}})
+    return failures
 
 
 def pattern_split(mono):

@@ -188,6 +188,19 @@ class TestHstar:
         assert out == ""
         assert "167731333" in err
 
+    def test_guards_past_printable_estimates(self, capsys):
+        # estimates longer than Python prints are refused by the power of two
+        # they reach, not by the failed integer-to-text conversion (exit 2)
+        cases = ((("--cycle", "3", "--method", "lp", "--max-dilate", "9" * 1500),
+                  "lp route refused: 2^19929 or more box candidates"),
+                 (("--path", "1", "--max-dilate", "9" * 2200),
+                  "semigroup sumset refused at dilate 1: at least 2^14615 or more bits"))
+        for argv, message in cases:
+            code, out, err = run_cli(capsys, "hstar", *argv)
+            assert code == EXIT_COST_GUARD
+            assert out == ""
+            assert message in err
+
     def test_lp_cost_guard_runs_before_the_semigroup_route(self, capsys):
         # --method both runs the LP route's guard before either route, so its
         # refusal comes first though the semigroup route counts K_{2,4}
@@ -322,6 +335,20 @@ class TestGb:
         assert code == EXIT_COST_GUARD
         assert out == ""
         assert "1178436 lead-sharing S-pairs estimated, limit 200000" in err
+
+    def test_basis_guard_past_printable_sizes(self, capsys):
+        # from n = 7145 on the basis size has more digits than Python prints;
+        # it is refused at once by the power of two it reaches, and from
+        # n = 7170 on (under the default limit) without building it
+        for argv, bound in ((("gb", "7145", "list"), "2^14285"),
+                            (("gb", "100000000", "verify"), "2^199999995")):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert code == EXIT_COST_GUARD
+            assert out == ""
+            assert err == (f"cost guard: Groebner basis refused for n = {argv[1]}: {bound} "
+                           "or more binomials estimated, limit 1000000\n")
 
     def test_digit_guard(self, capsys):
         # from n = 862 on, the normalized volume 2((n-2)!)^2 has more digits

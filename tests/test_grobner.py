@@ -18,7 +18,6 @@ from cutpoly.grobner import (
     PartitionMonomial,
     basis_payload,
     buchberger_check,
-    chain_characterization_holds,
     count_standard_by_degree,
     count_type1,
     count_type2,
@@ -30,16 +29,16 @@ from cutpoly.grobner import (
     iter_squarefree_standard,
     monomial,
     monomial_order_cmp,
-    reduce,
-    s_polynomial,
     squarefree_standard_counts,
     table1_cells,
     variable_table,
 )
 from cutpoly.ehrhart import semigroup_counts
+from cutpoly.graph import complete_bipartite, cut_vector
 from cutpoly.polynomial import hstar_closed_form_k2m
 
 from oracles import (
+    buchberger_failures_by_terms,
     chain_characterization_by_sets,
     cut_ideal_basis_by_pairs,
     pattern_split,
@@ -270,6 +269,28 @@ class TestGenerateBasis:
             [b for b in generate_gb(4) if b.family == 1])
         assert (((2,), (2, 3, 4)), ((), (3, 4))) in leads
 
+    @staticmethod
+    def off_the_cut_ideal(n, gb):
+        """Binomials whose lead and trail differ in their sum of cut vectors
+        of K_{2,n-2} (variable i cuts off its side table.encode(i))."""
+        g = complete_bipartite(2, n - 2)
+        table = variable_table(n)
+        cuts = [cut_vector(g, table.encode(i)) for i in range(len(table))]
+
+        def image(ids):
+            return tuple(map(sum, zip(*(cuts[i] for i in ids))))
+
+        return [k for k, b in enumerate(gb) if image(b.lead) != image(b.trail)]
+
+    def test_binomials_lie_in_the_cut_ideal(self):
+        for n in range(4, 11):
+            assert self.off_the_cut_ideal(n, generate_gb(n)) == [], n
+        # binomial 4's trail replaced by q_0^2
+        gb = generate_gb(5)
+        gb[4] = grobner.CutBinomial(family=gb[4].family, lead=gb[4].lead,
+                                    trail=PartitionMonomial(5, (0, 0)))
+        assert self.off_the_cut_ideal(5, gb) == [4]
+
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             generate_gb(3)
@@ -280,31 +301,42 @@ class TestGenerateBasis:
 
 
 class TestReduction:
+    # normal forms of single monomials: the basis is binomial, so each rewrite
+    # of a monomial by a lead yields one monomial
+    def trails(self, n):
+        return {tuple(b.lead): tuple(b.trail) for b in generate_gb(n)}
+
     def test_trail_is_normal_form(self):
-        gb = generate_gb(5)
-        for b in gb[:6]:
-            assert reduce(b.trail, gb) == {b.trail: 1}
+        trails = self.trails(5)
+        for b in generate_gb(5)[:6]:
+            assert grobner._normal_form(tuple(b.trail), trails) == tuple(b.trail)
 
     def test_lead_rewrites_to_trail(self):
-        gb = generate_gb(5)
         lead = monomial(5, [(1,), (2,)])
-        assert reduce(lead, gb) == {monomial(5, [(), (1, 2)]): 1}
+        assert grobner._normal_form(tuple(lead), self.trails(5)) == \
+            tuple(monomial(5, [(), (1, 2)]))
 
     def test_overlapping_family3_spair_reduces_to_zero(self):
-        gb = generate_gb(5)
-        fam3 = [b for b in gb if b.family == 3]
+        # (lcm/lead_a) trail_a and (lcm/lead_b) trail_b share a normal form
+        trails = self.trails(5)
+        fam3 = [b for b in generate_gb(5) if b.family == 3]
         overlapping = [
             (a, b) for a, b in itertools.combinations(fam3, 2)
             if set(a.lead.ids) & set(b.lead.ids)
         ]
         assert overlapping
         for a, b in overlapping:
-            assert reduce(s_polynomial(a, b), gb) == {}
+            support = set(a.lead) | set(b.lead)
+            sides = {grobner._normal_form(tuple(sorted([*support - set(g.lead), *g.trail])),
+                                          trails) for g in (a, b)}
+            assert len(sides) == 1, (a, b)
 
     def test_binomial_difference_vanishes(self):
-        gb = generate_gb(5)
-        for b in gb:
-            assert reduce({b.lead: 1, b.trail: -1}, gb) == {}
+        # a lead and its trail share a normal form
+        trails = self.trails(5)
+        for b in generate_gb(5):
+            assert grobner._normal_form(tuple(b.lead), trails) == \
+                grobner._normal_form(tuple(b.trail), trails)
 
 
 class TestBuchberger:
@@ -372,6 +404,29 @@ class TestBuchberger:
             {"pair": [4, 9], "normal_form": {"(0, 0, 11)": 1, "(0, 1, 13)": -1}},
         ]
 
+    def test_corrupted_trails_fail_as_the_term_reducer(self, monkeypatch):
+        # random trails, each below its lead, at n = 5 and 6: the failures are
+        # those of reducing every lead-sharing S-polynomial as a dict of terms
+        real = grobner.generate_gb
+        rng = random.Random(21)
+        failing = 0
+        for trial in range(12):
+            n = 5 if trial < 8 else 6
+            gb = real(n)
+            for i in rng.sample(range(len(gb)), rng.randint(1, 3)):
+                lead = tuple(gb[i].lead)
+                trail = tuple(sorted(rng.choices(range(lead[1] + 1), k=2)))
+                if trail >= lead:
+                    trail = (lead[0], lead[0])
+                gb[i] = grobner.CutBinomial(family=gb[i].family, lead=gb[i].lead,
+                                            trail=PartitionMonomial(n, trail))
+            monkeypatch.setattr(grobner, "generate_gb", lambda m, gb=gb: list(gb))
+            ok, certificate = buchberger_check(n)
+            assert certificate["failures"] == buchberger_failures_by_terms(gb), (n, trial)
+            assert ok == (not certificate["failures"])
+            failing += not ok
+        assert failing >= 8
+
 
 class TestStandardMonomials:
     def test_unit_monomial_standard(self):
@@ -422,13 +477,16 @@ class TestStandardMonomials:
             for k in range(top + 1):
                 for ids in itertools.combinations(range(len(table)), k):
                     mono = PartitionMonomial(n, ids)
-                    assert chain_characterization_holds(mono) == is_standard(mono), (n, ids)
+                    assert chain_characterization_by_sets(mono) == is_standard(mono), (n, ids)
 
     def test_chain_characterization_agrees_with_set_oracle(self):
-        monos = enumerate_squarefree_standard(7, 4)
-        assert len(monos) == 81180
-        for mono in monos:
-            assert chain_characterization_holds(mono) == chain_characterization_by_sets(mono)
+        # both chain conditions are pairwise, so the walk's table decides them:
+        # its bit for i, j is the set test on q_i q_j
+        for n in range(4, 9):
+            compat = grobner._chain_compatible(n)
+            for i, j in itertools.combinations(range(len(compat)), 2):
+                fits = chain_characterization_by_sets(PartitionMonomial(n, (i, j)))
+                assert bool(compat[i] >> j & 1) == bool(compat[j] >> i & 1) == fits, (n, i, j)
 
     def test_enumeration_checks_every_result(self, monkeypatch):
         # clear one compatible pair (i, j) of the chain table in both
@@ -445,7 +503,8 @@ class TestStandardMonomials:
         assert message.startswith(prefix)
         support = ast.literal_eval(message[len(prefix):])
         assert {i, j} <= set(support)
-        assert not chain_characterization_holds(PartitionMonomial(5, support))
+        # the support is a chain: only the cleared pair refused it
+        assert chain_characterization_by_sets(PartitionMonomial(5, support))
 
     def test_chain_table_is_the_conflict_graph_complement(self):
         # the chain description of the quadratic basis, pair by pair: two
