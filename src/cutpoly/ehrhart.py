@@ -9,10 +9,13 @@ with at most nine edges on cycles has no K5 minor, so there the dilate is cut
 out by the parity and odd-set inequalities of its chordless cycles
 (Barahona-Mahjoub), counted by a pruned walk with no simplex call; an exact
 rational phase-1 simplex re-decides a few points per dilate, and any
-disagreement raises.  Any other graph takes the same walk over its
-fundamental cycles, and the simplex decides each walked point.  The two routes
-agree exactly when the toric ring is normal; disagreements are surfaced,
-never masked.
+disagreement raises.  There only about half the dilates and as many
+interiors are walked; by Ehrhart-Macdonald reciprocity they fix the Ehrhart
+polynomial, every spare count is checked against it, and the rest are read
+off it.  Any other graph takes the same walk over its fundamental cycles, and
+the simplex decides each walked point of every dilate.  The two routes agree
+exactly when the toric ring is normal; disagreements are surfaced, never
+masked.
 """
 
 from __future__ import annotations
@@ -291,10 +294,11 @@ def _closing_range(rest, m: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _closing_values(rests, m: int) -> range:
+def _closing_values(rests, m: int, strict=False) -> range:
     """The values in 0..m of an edge that closes a cycle for each of `rests`
     (the cycle's other coordinates): within every `_closing_range`, and of
-    even sum with every rest."""
+    even sum with every rest.  `strict` keeps only the values strictly inside
+    every bound, 0 and m included."""
     parities = {sum(rest) & 1 for rest in rests}
     if len(parities) > 1:
         return range(0)
@@ -302,6 +306,8 @@ def _closing_values(rests, m: int) -> range:
     for rest in rests:
         a, b = _closing_range(rest, m)
         lo, hi = max(lo, a), min(hi, b)
+    if strict:
+        lo, hi = lo + 1, hi - 1
     if not parities:
         return range(lo, hi + 1)
     return range(lo + ((lo ^ parities.pop()) & 1), hi + 1, 2)
@@ -396,13 +402,18 @@ class _CycleWalk:
                 return False
         return True
 
-    def count(self, m: int, decide=None) -> int:
+    def count(self, m: int, decide=None, strict=False) -> int:
         """Lattice points of [0,m]^E that `admits`, by a depth-first walk over
         the cycle edges; the last one is counted, not walked.
 
         Given `decide`, every point is walked instead, its bridges at 0, and
         counted when `decide` accepts it (a tuple in edge order).  Either way
         each bridge multiplies the count by m+1.
+
+        `strict` (for m >= 1) counts the points that meet every inequality
+        strictly instead: each edge's values shrink to `_closing_values`
+        with `strict`, 1..m-1 for an edge that closes no cycle, and each
+        bridge multiplies the count by m-1.
         """
         closing = self._closing
         last = len(closing) - 1
@@ -415,7 +426,7 @@ class _CycleWalk:
             key = tuple([tuple(sorted(rest(values))) for rest in closing[k]])
             found = known.get(key)
             if found is None:
-                found = known[key] = _closing_values(key, m)
+                found = known[key] = _closing_values(key, m, strict)
             return found
 
         def walk(k):
@@ -429,12 +440,18 @@ class _CycleWalk:
                 total += walk(k + 1)
             return total
 
-        return (m + 1) ** self._bridges * walk(0)
+        return (m - 1 if strict else m + 1) ** self._bridges * walk(0)
 
 
 # A K5 minor lies within one block, which then has at least 10 edges, all on
 # cycles; so a graph with at most this many edges on cycles has none
 K5_MINOR_FREE_EDGES = 9
+
+
+def _cycle_edge_count(g) -> int:
+    """Edges of g on a cycle: those of its fundamental cycles."""
+    return len({e for cyc in fundamental_cycles(g) for e in cyc})
+
 
 # Lattice points per dilate that the simplex re-decides on that path
 SPOT_CHECKS = 16
@@ -474,9 +491,8 @@ def count_lattice_points(cfg, m: int) -> int:
     if m < 0:
         raise ValueError("dilate must be nonnegative")
     g = cfg.graph
-    cycles = fundamental_cycles(g)
-    if len({e for cyc in cycles for e in cyc}) > K5_MINOR_FREE_EDGES:
-        return _CycleWalk(g, cycles).count(
+    if _cycle_edge_count(g) > K5_MINOR_FREE_EDGES:
+        return _CycleWalk(g, fundamental_cycles(g)).count(
             m, lambda z: _phase1(cfg.columns, z + (m,)))
     rule = _CycleWalk(g, _chordless_cycles(g))
     for z in _spot_points(cfg, m):
@@ -509,23 +525,68 @@ def check_lp_cost(cfg, max_dilate: int | None = None) -> None:
     hold more than LP_CANDIDATE_LIMIT points.  A box spans only the edges on
     a cycle: the walk holds each bridge at 0 and multiplies it out."""
     M = cfg.dimension + 1 if max_dilate is None else max_dilate
-    walked = len({e for cyc in fundamental_cycles(cfg.graph) for e in cyc})
-    candidates = _box_candidates(walked, M)
+    candidates = _box_candidates(_cycle_edge_count(cfg.graph), M)
     if candidates > LP_CANDIDATE_LIMIT:
         raise CostGuardError(
             f"lp route refused: {shown(candidates)} box candidates for dilates 0..{M}, "
             f"over the limit {LP_CANDIDATE_LIMIT}")
 
 
+def _reciprocal_counts(d: int, M: int, closed, interior) -> tuple[int, ...]:
+    """i(P, m) for m = 0..M of a d-dimensional lattice polytope P, given
+    closed[m] = i(P, m) for m = 0..A and interior[m-1] = i(P°, m) for
+    m = 1..B, with A + B >= d.
+
+    i(P, m) = sum_j h*_j C(m-j+d, d) is a polynomial E(m) of degree d, and
+    by Ehrhart-Macdonald reciprocity i(P°, m) = (-1)^d E(-m) = sum_j h*_j
+    C(m-1+j, d) (Beck-Robins, *Computing the Continuous Discretely*, ch. 4).
+    So the counts give E at the M+1 integers -B..A.  Any d+1 consecutive
+    values fix E (as h*, the closed counts fix h*_0, h*_1, ... and the
+    interior ones h*_d, h*_(d-1), ..., both systems triangular over the
+    integers), and each of the M-d others is a spare equation: its (d+1)-th
+    difference with the d+1 values before it must vanish, the recurrence
+    `hstar_from_counts` checks past dilate d.  VerificationError names the
+    first count that breaks one; the same recurrence then extends E through
+    dilate M.
+    """
+    values = [(-1) ** d * count for count in reversed(interior)] + closed
+    for k in range(d + 1, len(interior) + M + 1):
+        fitted = -sum((-1) ** j * math.comb(d + 1, j) * values[k - j] for j in range(1, d + 2))
+        if k == len(values):
+            values.append(fitted)
+        elif values[k] != fitted:
+            m = k - len(interior)
+            raise VerificationError(
+                f"the {'closed' if m >= 0 else 'interior'} count of dilate {abs(m)} breaks "
+                f"Ehrhart reciprocity: E({m}) = {values[k]}, but the {d + 1} values "
+                f"before it give {fitted}")
+    return tuple(values[len(interior):])
+
+
 def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     """CountSequence via the lattice-point route (independent of normality).
 
-    Raises CostGuardError, before the first candidate, by check_lp_cost.
+    A graph that `count_lattice_points` counts without the simplex (no K5
+    minor) has only dilates 0..ceil(M/2) counted, each spot-checked, and the
+    interiors of dilates 1..floor(M/2) walked with `strict`; the counts for
+    0..M are read off the Ehrhart polynomial they fix (`_reciprocal_counts`),
+    which each of the M-d spare counts must meet.  Any other graph, or a
+    budget below d, has every dilate 0..M counted.
+
+    Raises CostGuardError, before the first candidate, by check_lp_cost, which
+    charges every dilate 0..M whichever are walked.
     """
     check_lp_cost(cfg, max_dilate)
     d = cfg.dimension
     M = d + 1 if max_dilate is None else max_dilate
-    counts = tuple(count_lattice_points(cfg, m=m) for m in range(M + 1))
+    g = cfg.graph
+    if M < d or _cycle_edge_count(g) > K5_MINOR_FREE_EDGES:
+        counts = tuple(count_lattice_points(cfg, m=m) for m in range(M + 1))
+    else:
+        closed = [count_lattice_points(cfg, m=m) for m in range((M + 1) // 2 + 1)]
+        rule = _CycleWalk(g, _chordless_cycles(g))
+        interior = [rule.count(m, strict=True) for m in range(1, M // 2 + 1)]
+        counts = _reciprocal_counts(d, M, closed, interior)
     return CountSequence(dimension=d, counts=counts)
 
 

@@ -49,10 +49,15 @@ def as_mask(vertices, vertex_count: int) -> int:
 def shown(value: int | None, bits: int = 0) -> str:
     """A guard's estimate: `value` in decimal or, when it has more digits than
     Python converts to text (sys.get_int_max_str_digits()), the power of two it
-    reaches.  A value too large to build is None, with its bit length `bits`."""
+    reaches.  A value too large to build is None, with its bit length `bits`.
+    When that exponent is itself too long to print, the power of two it
+    reaches stands in for it."""
     if value is not None:
         try:
             return str(value)
         except ValueError:
             bits = value.bit_length()
-    return f"2^{bits - 1} or more"
+    try:
+        return f"2^{bits - 1} or more"
+    except ValueError:
+        return f"2^(2^{(bits - 1).bit_length() - 1}) or more"

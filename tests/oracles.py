@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own algorithms: ranks and
 determinants run rational Gaussian elimination, Stirling numbers enumerate set
 partitions, lattice membership does a bounded exhaustive coefficient search,
 Eulerian polynomials count descents over all permutations, dilate counts are
-read back off an h*-polynomial, trees are built from explicit edge lists,
+read back off an h*-polynomial or extended to negative dilates by Lagrange
+interpolation, trees are built from explicit edge lists,
 fundamental cycles climb parent pointers to the endpoints' common ancestor,
 semigroup layers are swept as tuple sumsets, the basis-binomial oracle
 rebuilds every relation from ordered partition pairs, S-polynomials reduce as
@@ -114,6 +115,19 @@ def ehrhart_from_hstar(h: IntPolynomial, d: int, m: int) -> int:
     if m < 0:
         raise ValueError("dilate must be nonnegative")
     return sum(h.coefficient(i) * math.comb(m + d - i, d) for i in range(d + 1))
+
+
+def interpolated_value(values, x: int) -> Fraction:
+    """The polynomial of degree below len(values) through (k, values[k]) for
+    k = 0, 1, ..., read at x by Lagrange's formula."""
+    total = Fraction(0)
+    for k, value in enumerate(values):
+        term = Fraction(value)
+        for j in range(len(values)):
+            if j != k:
+                term *= Fraction(x - j, k - j)
+        total += term
+    return total
 
 
 def tree_from_edges(edges) -> Graph:

@@ -350,6 +350,20 @@ class TestGb:
             assert err == (f"cost guard: Groebner basis refused for n = {argv[1]}: {bound} "
                            "or more binomials estimated, limit 1000000\n")
 
+    def test_basis_guard_past_printable_exponents(self, capsys):
+        # under the default limit of 4300 digits n = 10^4300 - 1 prints, but
+        # the exponent 2k - 1 of the basis size has 4301 digits; it is stated
+        # by the power of two it reaches (2^14285 <= 2k - 1 < 2^14286), not
+        # by a failed conversion (exit 2)
+        n = "9" * 4300
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gb", n, "list")
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_COST_GUARD
+        assert out == ""
+        assert err == (f"cost guard: Groebner basis refused for n = {n}: 2^(2^14285) "
+                       "or more binomials estimated, limit 1000000\n")
+
     def test_digit_guard(self, capsys):
         # from n = 862 on, the normalized volume 2((n-2)!)^2 has more digits
         # than Python prints by default; both reports are refused at once

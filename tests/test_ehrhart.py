@@ -32,7 +32,7 @@ from cutpoly.polynomial import (
     is_palindromic,
 )
 
-from oracles import ehrhart_from_hstar
+from oracles import ehrhart_from_hstar, interpolated_value
 
 
 class TestCountSequence:
@@ -73,9 +73,9 @@ class TestSemigroupCounts:
             assert cs.counts == tuple((m + 1) ** edges for m in range(edges + 2))
 
 
-def _random_small_graph(rng, max_edges=6):
-    """Connected, at most 5 vertices and at most max_edges edges."""
-    n = rng.randrange(3, 6)
+def _random_small_graph(rng, max_edges=6, max_vertices=5):
+    """Connected, at most max_vertices vertices and at most max_edges edges."""
+    n = rng.randrange(3, max_vertices + 1)
     edges = [(rng.randrange(1, i), i) for i in range(2, n + 1)]  # random spanning tree
     extra = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
              if (u, v) not in edges]
@@ -519,6 +519,105 @@ class TestCertificates:
         assert [count_lattice_points(cfg, m) for m in range(3)] == plain
         # more calls than three spot checks make: each point met the simplex
         assert calls[0] > 3 * ehrhart.SPOT_CHECKS
+
+
+class TestReciprocity:
+    """The interior walk, and the counts read off the Ehrhart polynomial that
+    reciprocity fixes, against the semigroup route and every dilate's count."""
+
+    def test_interior_walk_is_the_ehrhart_polynomial_at_minus_m(self):
+        # i(P°, m) = (-1)^d E(-m), with E fitted through the semigroup
+        # route's counts at dilates 0..d
+        for g in (cycle(4), cycle(5), K4, complete_bipartite(2, 3)):
+            cfg = configuration(g)
+            d = cfg.dimension
+            counts = semigroup_counts(cfg, d).counts
+            rule = ehrhart._CycleWalk(g, ehrhart._chordless_cycles(g))
+            for m in range(1, d + 2):
+                assert rule.count(m, strict=True) == \
+                    (-1) ** d * interpolated_value(counts, -m), (g, m)
+
+    def test_interior_walk_multiplies_bridges_by_m_minus_1(self):
+        # path(3) is the cube [0,1]^3: (m-1)^3 interior points; C_4 with a
+        # pendant edge has C_4's interior times m-1
+        walk = ehrhart._CycleWalk(path(3), [])
+        c4 = ehrhart._CycleWalk(cycle(4), ehrhart._chordless_cycles(cycle(4)))
+        tail = Graph(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
+        with_tail = ehrhart._CycleWalk(tail, ehrhart._chordless_cycles(tail))
+        for m in range(1, 6):
+            assert walk.count(m, strict=True) == (m - 1) ** 3
+            assert with_tail.count(m, strict=True) == (m - 1) * c4.count(m, strict=True)
+
+    def test_seeded_graphs_match_every_dilate_and_the_semigroup_route(self):
+        # connected graphs on at most 6 vertices and 9 edges; a budget the LP
+        # guard refuses is skipped, as counting every dilate under it would
+        # take minutes
+        rng = random.Random(1904)
+        checked = 0
+        for _ in range(30):
+            cfg = configuration(_random_small_graph(rng, max_edges=9, max_vertices=6))
+            for M in (cfg.dimension + 1, cfg.dimension + 3):
+                try:
+                    ehrhart.check_lp_cost(cfg, M)
+                except CostGuardError:
+                    continue
+                counts = lattice_point_counts(cfg, M).counts
+                assert counts == tuple(count_lattice_points(cfg, m) for m in range(M + 1)), \
+                    (cfg.graph, M)
+                assert counts == semigroup_counts(cfg, M).counts, (cfg.graph, M)
+                checked += 1
+        assert checked >= 30
+
+    def test_dilates_walked(self, monkeypatch):
+        # closed dilates 0..ceil(M/2) by count_lattice_points, interiors
+        # 1..floor(M/2) by the strict walk
+        walked = []
+        count = ehrhart._CycleWalk.count
+
+        def logged(self, m, decide=None, strict=False):
+            walked.append((m, strict))
+            return count(self, m, decide, strict)
+
+        monkeypatch.setattr(ehrhart._CycleWalk, "count", logged)
+        for M, closed, interior in ((5, 3, 2), (6, 3, 3), (9, 5, 4)):
+            walked.clear()
+            assert lattice_point_counts(configuration(cycle(4)), M).counts == \
+                semigroup_counts(configuration(cycle(4)), M).counts
+            assert walked == [(m, False) for m in range(closed + 1)] + \
+                [(m, True) for m in range(1, interior + 1)], M
+
+    def test_a_count_off_by_one_is_refused(self, monkeypatch):
+        # one interior or closed count one too high, at each walked dilate in
+        # turn, contradicts the spare equation
+        count = ehrhart._CycleWalk.count
+        for g in (cycle(4), cycle(5), K4, complete_bipartite(2, 3)):
+            cfg = configuration(g)
+            M = cfg.dimension + 1
+            for wrong in [(m, True) for m in range(1, M // 2 + 1)] + \
+                    [(m, False) for m in range((M + 1) // 2 + 1)]:
+                def off(self, m, decide=None, strict=False, wrong=wrong):
+                    return count(self, m, decide, strict) + ((m, strict) == wrong)
+
+                monkeypatch.setattr(ehrhart._CycleWalk, "count", off)
+                with pytest.raises(VerificationError, match="breaks Ehrhart reciprocity"):
+                    lattice_point_counts(cfg)
+
+    def test_reciprocal_counts_of_a_known_polytope(self):
+        # the unit square: i(P, m) = (m+1)^2 and i(P°, m) = (m-1)^2, so
+        # E(-4..4) = 9, 4, 1, 0, 1, 4, 9, 16, 25; the values are checked
+        # from the fourth on, each against the three before it
+        assert ehrhart._reciprocal_counts(2, 8, [1, 4, 9, 16, 25], [0, 1, 4, 9]) == \
+            tuple((m + 1) ** 2 for m in range(9))
+        for closed, interior, message in (
+                ([1, 4, 9, 17, 25], [0, 1, 4, 9],
+                 "the closed count of dilate 3 breaks Ehrhart reciprocity: E(3) = 17, "
+                 "but the 3 values before it give 16"),
+                ([1, 4, 9, 16, 25], [1, 1, 4, 9],
+                 "the interior count of dilate 1 breaks Ehrhart reciprocity: E(-1) = 1, "
+                 "but the 3 values before it give 0")):
+            with pytest.raises(VerificationError) as exc:
+                ehrhart._reciprocal_counts(2, 8, closed, interior)
+            assert str(exc.value) == message
 
 
 class TestHstarTransforms:
