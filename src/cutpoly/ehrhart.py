@@ -26,7 +26,7 @@ import random
 from operator import itemgetter
 
 from .errors import CostGuardError, VerificationError, shown
-from .graph import fundamental_cycles
+from .graph import cycle_edges, fundamental_cycles
 from .polynomial import IntPolynomial, stirling2
 from .record import FrozenRecord
 
@@ -197,27 +197,22 @@ def _phase1(columns, rhs) -> bool:
             row = [-x for x in row]
         rows.append(row)
     # objective row (reduced costs | -w) for minimizing w = sum of artificials
-    obj = [0] * (ncols + 1)
-    for row in rows:
-        for j in range(ncols + 1):
-            obj[j] -= row[j]
-    rows.append(obj)
+    rows.append([-sum(entries) for entries in zip(*rows)])
     # entry i is the column basic in row i: a column id below ncols, or
     # ncols + i for row i's artificial
     basis = [ncols + i for i in range(nrows)]
-    if obj[ncols] == 0:
+    if rows[nrows][ncols] == 0:
         return True
     den = 1
-    objrow = nrows
     while True:
         entering = -1
-        objc = rows[objrow]
+        objc = rows[nrows]
         for j in range(ncols):
             if objc[j] < 0:
                 entering = j
                 break
         if entering < 0:
-            return rows[objrow][ncols] == 0
+            return objc[ncols] == 0
         # ratio test over rows with positive entry in the entering column
         leave = -1
         for i in range(nrows):
@@ -249,7 +244,7 @@ def _phase1(columns, rhs) -> bool:
                 rows[i] = [pivot * a for a in row]
         den = pivot
         basis[leave] = entering
-        if rows[objrow][ncols] == 0:
+        if rows[nrows][ncols] == 0:
             return True
 
 
@@ -448,9 +443,16 @@ class _CycleWalk:
 K5_MINOR_FREE_EDGES = 9
 
 
-def _cycle_edge_count(g) -> int:
-    """Edges of g on a cycle: those of its fundamental cycles."""
-    return len({e for cyc in fundamental_cycles(g) for e in cyc})
+def _bridges_zeroed(g, points) -> list[tuple[int, ...]]:
+    """`points` with every bridge coordinate of g set to 0, deduplicated in
+    order; a column's last, homogenizing, coordinate is kept.
+
+    Cut(G) is the cut polytope on its cycle edges times [0,1] per bridge, so
+    a point whose bridges are 0 lies in the m-th dilate exactly when the
+    columns so zeroed reach it; a tree keeps one column of its 2^|E|.
+    """
+    keep = cycle_edges(g) | {g.edge_count}
+    return list(dict.fromkeys(tuple(x if e in keep else 0 for e, x in enumerate(z)) for z in points))
 
 
 # Lattice points per dilate that the simplex re-decides on that path
@@ -486,17 +488,19 @@ def count_lattice_points(cfg, m: int) -> int:
     cycle, with no simplex call.  The phase-1 simplex re-decides
     `_spot_points` first, and any disagreement raises VerificationError.  Any
     other graph walks its fundamental cycles (the chordless ones would take
-    2^c XORs to find) and the simplex decides each walked point.
+    2^c XORs to find) and the simplex decides each walked point.  Every
+    point the simplex decides holds its bridges at 0, so it reads the columns
+    and spot points through `_bridges_zeroed`.
     """
     if m < 0:
         raise ValueError("dilate must be nonnegative")
     g = cfg.graph
-    if _cycle_edge_count(g) > K5_MINOR_FREE_EDGES:
-        return _CycleWalk(g, fundamental_cycles(g)).count(
-            m, lambda z: _phase1(cfg.columns, z + (m,)))
+    columns = _bridges_zeroed(g, cfg.columns)
+    if len(cycle_edges(g)) > K5_MINOR_FREE_EDGES:
+        return _CycleWalk(g, fundamental_cycles(g)).count(m, lambda z: _phase1(columns, z + (m,)))
     rule = _CycleWalk(g, _chordless_cycles(g))
-    for z in _spot_points(cfg, m):
-        if rule.admits(z, m) != _phase1(cfg.columns, z + (m,)):
+    for z in _bridges_zeroed(g, _spot_points(cfg, m)):
+        if rule.admits(z, m) != _phase1(columns, z + (m,)):
             raise VerificationError(
                 f"chordless-cycle inequalities and the simplex disagree on {z} at dilate {m}")
     return rule.count(m)
@@ -525,7 +529,7 @@ def check_lp_cost(cfg, max_dilate: int | None = None) -> None:
     hold more than LP_CANDIDATE_LIMIT points.  A box spans only the edges on
     a cycle: the walk holds each bridge at 0 and multiplies it out."""
     M = cfg.dimension + 1 if max_dilate is None else max_dilate
-    candidates = _box_candidates(_cycle_edge_count(cfg.graph), M)
+    candidates = _box_candidates(len(cycle_edges(cfg.graph)), M)
     if candidates > LP_CANDIDATE_LIMIT:
         raise CostGuardError(
             f"lp route refused: {shown(candidates)} box candidates for dilates 0..{M}, "
@@ -535,7 +539,7 @@ def check_lp_cost(cfg, max_dilate: int | None = None) -> None:
 def _reciprocal_counts(d: int, M: int, closed, interior) -> tuple[int, ...]:
     """i(P, m) for m = 0..M of a d-dimensional lattice polytope P, given
     closed[m] = i(P, m) for m = 0..A and interior[m-1] = i(P°, m) for
-    m = 1..B, with A + B >= d.
+    m = 1..B, with A + B >= d or B = 0.
 
     i(P, m) = sum_j h*_j C(m-j+d, d) is a polynomial E(m) of degree d, and
     by Ehrhart-Macdonald reciprocity i(P°, m) = (-1)^d E(-m) = sum_j h*_j
@@ -547,7 +551,7 @@ def _reciprocal_counts(d: int, M: int, closed, interior) -> tuple[int, ...]:
     difference with the d+1 values before it must vanish, the recurrence
     `hstar_from_counts` checks past dilate d.  VerificationError names the
     first count that breaks one; the same recurrence then extends E through
-    dilate M.
+    dilate M.  With B = 0 the closed counts come back as they are, checked.
     """
     values = [(-1) ** d * count for count in reversed(interior)] + closed
     for k in range(d + 1, len(interior) + M + 1):
@@ -566,12 +570,12 @@ def _reciprocal_counts(d: int, M: int, closed, interior) -> tuple[int, ...]:
 def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     """CountSequence via the lattice-point route (independent of normality).
 
-    A graph that `count_lattice_points` counts without the simplex (no K5
-    minor) has only dilates 0..ceil(M/2) counted, each spot-checked, and the
-    interiors of dilates 1..floor(M/2) walked with `strict`; the counts for
-    0..M are read off the Ehrhart polynomial they fix (`_reciprocal_counts`),
-    which each of the M-d spare counts must meet.  Any other graph, or a
-    budget below d, has every dilate 0..M counted.
+    Closed dilates 0..M-B are counted and the interiors of dilates 1..B are
+    walked with `strict`, then `_reciprocal_counts` reads the counts for 0..M
+    off the Ehrhart polynomial they fix, which each of the M-d spare counts
+    must meet.  B = floor(M/2) on a graph that `count_lattice_points` counts
+    without the simplex (no K5 minor) and a budget of at least d; otherwise
+    B = 0 and every dilate is counted.
 
     Raises CostGuardError, before the first candidate, by check_lp_cost, which
     charges every dilate 0..M whichever are walked.
@@ -580,14 +584,13 @@ def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     d = cfg.dimension
     M = d + 1 if max_dilate is None else max_dilate
     g = cfg.graph
-    if M < d or _cycle_edge_count(g) > K5_MINOR_FREE_EDGES:
-        counts = tuple(count_lattice_points(cfg, m=m) for m in range(M + 1))
-    else:
-        closed = [count_lattice_points(cfg, m=m) for m in range((M + 1) // 2 + 1)]
+    B = M // 2 if M >= d and len(cycle_edges(g)) <= K5_MINOR_FREE_EDGES else 0
+    closed = [count_lattice_points(cfg, m=m) for m in range(M - B + 1)]
+    interior = []
+    if B:
         rule = _CycleWalk(g, _chordless_cycles(g))
-        interior = [rule.count(m, strict=True) for m in range(1, M // 2 + 1)]
-        counts = _reciprocal_counts(d, M, closed, interior)
-    return CountSequence(dimension=d, counts=counts)
+        interior = [rule.count(m, strict=True) for m in range(1, B + 1)]
+    return CountSequence(dimension=d, counts=_reciprocal_counts(d, M, closed, interior))
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +629,7 @@ def hstar_polynomial(cfg, method: str = "semigroup",
     The dilate budget defaults to d+1 (the minimum d plus one vanish check);
     an explicit smaller budget is refused with the required count.
     """
-    d = cfg.dimension
-    needed = d + 1
+    needed = cfg.dimension + 1
     M = needed if max_dilate is None else max_dilate
     if M < needed:
         raise CostGuardError(

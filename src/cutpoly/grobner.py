@@ -210,14 +210,22 @@ def generate_gb(n: int) -> list[CutBinomial]:
 
 
 @lru_cache(maxsize=None)
-def lead_pairs(n: int) -> frozenset:
-    """Index pairs (i, j), i < j, of the quadratic initial monomials."""
-    return frozenset(lead for _, lead, _ in _families(n))
+def _conflict_masks(n: int) -> tuple[int, ...]:
+    """Per-variable bitmask of the variables it forms an initial monomial
+    with, read off the families' lead pairs: route two's one table of leads."""
+    bad = [0] * len(variable_table(n))
+    for _, (i, j), _ in _families(n):
+        bad[i] |= 1 << j
+        bad[j] |= 1 << i
+    return tuple(bad)
 
 
 def is_standard(mono: PartitionMonomial) -> bool:
-    """True iff no generated initial monomial divides `mono`."""
-    return _lead_dividing(mono, lead_pairs(mono.n)) is None
+    """True iff no generated initial monomial divides `mono`: every lead is
+    squarefree, so no two variables of its support may conflict."""
+    bad = _conflict_masks(mono.n)
+    support = sum(1 << i for i in set(mono))
+    return not any(bad[i] & support for i in mono)
 
 
 def _lead_dividing(ids, leads):
@@ -300,29 +308,10 @@ def buchberger_check(n: int) -> tuple[bool, dict]:
 # squarefree standard monomials, chains, and the f-vector
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _conflict_masks(n: int) -> tuple[int, ...]:
-    """Per-variable bitmask of variables it forms an initial monomial with."""
-    bad = [0] * len(variable_table(n))
-    for i, j in lead_pairs(n):
-        bad[i] |= 1 << j
-        bad[j] |= 1 << i
-    return tuple(bad)
-
-
 # Most supports one squarefree walk may visit.  The plain walk takes about
 # 3 us a support (Python 3.11 on a 2-vCPU VM), so this is about 12 s; it admits
 # every walk at n <= 7, up to degree 4 at n = 8, 3 at n = 9, 10 and 2 at n = 11, 12.
 SQUAREFREE_WALK_LIMIT = 4_000_000
-
-
-def _standard_pool(n: int, variable_class: str) -> int:
-    """Bitmask of the variables in `variable_class`: 'all', '12-together'
-    (type 1) or '1-and-2-split' (type 2)."""
-    if n < 4:
-        raise ValueError("need n >= 4")
-    keep = {"all": (0, 2), "12-together": (0,), "1-and-2-split": (2,)}[variable_class]
-    return sum(1 << i for i, m in enumerate(variable_table(n).masks) if (m & 2) in keep)
 
 
 @lru_cache(maxsize=None)
@@ -358,19 +347,6 @@ def _independent_set_counts(n: int, pool: int) -> tuple[int, ...]:
     return chains(pool, True).coeffs
 
 
-def _walk_pool(n: int, variable_class: str, degree: int | None = None) -> int:
-    """`_standard_pool` for a walk that visits every support of degree up to
-    `degree` (of every degree when None); that number is read from the counts
-    before the first step and refused above SQUAREFREE_WALK_LIMIT."""
-    pool = _standard_pool(n, variable_class)
-    counts = _independent_set_counts(n, pool)
-    visits = sum(counts if degree is None else counts[:degree + 1])
-    if visits > SQUAREFREE_WALK_LIMIT:
-        raise CostGuardError(f"squarefree walk refused for n = {n}: {visits} supports "
-                             f"estimated, limit {SQUAREFREE_WALK_LIMIT}")
-    return pool
-
-
 def _chain_masks(n: int) -> tuple[tuple[int, int], ...]:
     """Per variable, (split, mask over {3..n}), split when vertex 2 is in its
     canonical side: for a split variable the set A' where its vertex-1 side is
@@ -404,28 +380,35 @@ def _chain_compatible(n: int) -> tuple[int, ...]:
 def enumerate_squarefree_standard(n: int, k: int) -> list[PartitionMonomial]:
     """All squarefree standard monomials of degree k, ascending-id order.
 
-    A walk over the basis's conflict graph.  At each node `allowed` holds the
-    next variables that form no initial monomial with the chosen ones, and
-    `fits` those chain-compatible with all of them; one mask test,
-    `allowed & ~fits == 0`, checks every child (at the last level every
-    result), and a failure, meaning the basis and the chain description
-    diverge, raises VerificationError naming the support.
+    A walk over the basis's conflict graph, refused before its first step
+    when the supports of degree up to k, read from the counts of
+    `squarefree_standard_counts`, pass SQUAREFREE_WALK_LIMIT.  From k = 2 on
+    it first compares the chain description with the basis: the pairs that
+    `_chain_compatible` passes must be exactly those that form no initial
+    monomial, and the first pair (i, j) that differs raises
+    VerificationError.  Both chain conditions are pairwise, so that settles
+    every support the walk visits.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    pool = _walk_pool(n, "all", k)
+    everyone = (1 << len(variable_table(n))) - 1
+    visits = sum(_independent_set_counts(n, everyone)[:k + 1])
+    if visits > SQUAREFREE_WALK_LIMIT:
+        raise CostGuardError(f"squarefree walk refused for n = {n}: {visits} supports "
+                             f"estimated, limit {SQUAREFREE_WALK_LIMIT}")
     new, cls = tuple.__new__, _monomial_type(n)
     if k == 0:
         return [new(cls, ())]
     bad = _conflict_masks(n)
-    compat = _chain_compatible(n)
+    if k >= 2:
+        for i, fits in enumerate(_chain_compatible(n)):
+            wrong = (fits ^ (everyone & ~bad[i])) & ~(1 << i)
+            if wrong:
+                j = (wrong & -wrong).bit_length() - 1
+                raise VerificationError(f"chain characterization failed for {(i, j)}")
     out = []
 
-    def walk(chosen, allowed, fits):
-        wrong = allowed & ~fits
-        if wrong:
-            j = (wrong & -wrong).bit_length() - 1
-            raise VerificationError(f"chain characterization failed for {chosen + (j,)}")
+    def walk(chosen, allowed):
         if len(chosen) + 1 == k:
             while allowed:
                 low = allowed & -allowed
@@ -436,38 +419,17 @@ def enumerate_squarefree_standard(n: int, k: int) -> list[PartitionMonomial]:
             low = allowed & -allowed
             j = low.bit_length() - 1
             allowed ^= low
-            walk(chosen + (j,), allowed & ~bad[j], fits & compat[j])
+            walk(chosen + (j,), allowed & ~bad[j])
 
-    walk((), pool, -1)
+    walk((), everyone)
     return out
 
 
-def iter_squarefree_standard(n: int, variable_class: str = "all"):
-    """Yield every squarefree standard monomial of every degree, optionally
-    restricted to one variable class ('12-together' or '1-and-2-split')."""
-    pool = _walk_pool(n, variable_class)
-    bad = _conflict_masks(n)
-    new, cls = tuple.__new__, _monomial_type(n)
-
-    def walk(chosen, allowed):
-        yield new(cls, chosen)
-        while allowed:
-            low = allowed & -allowed
-            j = low.bit_length() - 1
-            allowed ^= low
-            yield from walk(chosen + (j,), allowed & ~bad[j])
-
-    yield from walk((), pool)
-
-
-def squarefree_standard_counts(n: int, variable_class: str = "all") -> list[int]:
+def squarefree_standard_counts(n: int) -> list[int]:
     """Counts of squarefree standard monomials by degree, taken directly over
-    the basis's conflict graph as counts of its independent sets.
-
-    variable_class restricts the support: 'all', '12-together' (type 1), or
-    '1-and-2-split' (type 2).  The chain formulas are never consulted.
-    """
-    return list(_independent_set_counts(n, _standard_pool(n, variable_class)))
+    the basis's conflict graph as counts of its independent sets.  The chain
+    formulas are never consulted."""
+    return list(_independent_set_counts(n, (1 << len(variable_table(n))) - 1))
 
 
 def count_type1(n: int, k: int) -> int:
@@ -488,17 +450,6 @@ def _chain_term(n: int, j: int) -> int:
     if j < 0:
         return 0
     return math.factorial(j) * stirling2(n - 2, j)
-
-
-def table1_cells(n: int, k: int) -> dict[str, int]:
-    """The four chain counts split by whether the chain starts at the empty set
-    and ends at all of {3..n}."""
-    return {
-        "min_empty_max_full": _chain_term(n, k - 1),
-        "min_nonempty_max_full": _chain_term(n, k),
-        "min_empty_max_not_full": _chain_term(n, k),
-        "min_nonempty_max_not_full": _chain_term(n, k + 1),
-    }
 
 
 def f_vector(n: int) -> list[int]:

@@ -9,9 +9,10 @@ interpolation, trees are built from explicit edge lists,
 fundamental cycles climb parent pointers to the endpoints' common ancestor,
 semigroup layers are swept as tuple sumsets, the basis-binomial oracle
 rebuilds every relation from ordered partition pairs, S-polynomials reduce as
-dicts of terms, the chain test compares frozensets, standard monomials of a
-degree are filtered out of all monomials of that degree, and polynomials
-multiply by the schoolbook double sum.
+dicts of terms, the chain test compares frozensets, standard monomials are
+tested against that oracle's leads (all those of a degree filtered, the
+squarefree ones walked), the paper's Table 1 cells read Stirling numbers off
+set partitions, and polynomials multiply by the schoolbook double sum.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ import math
 
 from cutpoly.errors import CostGuardError
 from cutpoly.graph import Graph
-from cutpoly.grobner import PartitionMonomial, is_standard, variable_table
+from cutpoly.grobner import PartitionMonomial, variable_table
 from cutpoly.polynomial import IntPolynomial
 
 
@@ -374,11 +375,59 @@ def chain_characterization_by_sets(mono) -> bool:
     return True
 
 
+def lead_ids_by_pairs(n: int) -> set:
+    """The leads of `cut_ideal_basis_by_pairs` as frozensets of two variable ids."""
+    table = variable_table(n)
+    return {frozenset(map(table.index_of, lead)) for _, lead, _ in cut_ideal_basis_by_pairs(n)}
+
+
 def standard_count_by_filter(n: int, m: int) -> int:
     """Standard monomials of degree m: every degree-m multiset of the 2^(n-1)
-    variables, kept when no initial monomial divides it."""
+    variables, kept when no lead of the pair oracle divides it (every lead is
+    two distinct variables)."""
+    leads = lead_ids_by_pairs(n)
     return sum(1 for ids in itertools.combinations_with_replacement(range(len(variable_table(n))), m)
-               if is_standard(PartitionMonomial(n, ids)))
+               if not any(frozenset(pair) in leads for pair in itertools.combinations(set(ids), 2)))
+
+
+def class_pool(n: int, split: bool) -> int:
+    """Bitmask of the variable ids of one class: split (vertex 2 on the side
+    not containing vertex 1) or 12-together."""
+    table = variable_table(n)
+    return sum(1 << i for i in range(len(table)) if (2 in table.encode(i)) == split)
+
+
+def squarefree_standard_walk(n: int, pool: int | None = None):
+    """Yield every squarefree standard monomial whose variable ids lie in the
+    bitmask `pool` (every variable when None), by a depth-first walk that adds
+    a larger id only when it forms no lead of the pair oracle with those
+    chosen."""
+    leads = lead_ids_by_pairs(n)
+    ids = [i for i in range(len(variable_table(n))) if pool is None or pool >> i & 1]
+
+    def walk(chosen, start):
+        yield PartitionMonomial(n, chosen)
+        for at in range(start, len(ids)):
+            if not any(frozenset((i, ids[at])) in leads for i in chosen):
+                yield from walk(chosen + (ids[at],), at + 1)
+
+    yield from walk((), 0)
+
+
+def table1_cells(n: int, k: int) -> dict[str, int]:
+    """The paper's Table 1: the 12-together chains of k sets over {3..n},
+    split by whether the chain starts at the empty set and ends at all of
+    {3..n}.  Padded with those two ends, a chain of j steps is an ordered
+    partition of {3..n} into j blocks, so each cell is j! S(n-2, j)."""
+    def chains(j):
+        return math.factorial(j) * stirling2_by_partitions(n - 2, j) if j >= 0 else 0
+
+    return {
+        "min_empty_max_full": chains(k - 1),
+        "min_nonempty_max_full": chains(k),
+        "min_empty_max_not_full": chains(k),
+        "min_nonempty_max_not_full": chains(k + 1),
+    }
 
 
 def poly_mul(a, b) -> list[int]:

@@ -9,6 +9,7 @@ import math
 import time
 from collections import Counter
 
+from cutpoly import grobner
 from cutpoly.ehrhart import (
     hstar_from_counts,
     hstar_polynomial,
@@ -23,9 +24,6 @@ from cutpoly.grobner import (
     count_type2,
     f_vector,
     generate_gb,
-    iter_squarefree_standard,
-    squarefree_standard_counts,
-    table1_cells,
 )
 from cutpoly.polynomial import (
     IntPolynomial,
@@ -36,7 +34,13 @@ from cutpoly.polynomial import (
     is_palindromic,
 )
 
-from oracles import eulerian_by_descents, pattern_split
+from oracles import (
+    class_pool,
+    eulerian_by_descents,
+    pattern_split,
+    squarefree_standard_walk,
+    table1_cells,
+)
 from test_grobner import canonical_binomial_set, listed_n5_canonical
 
 
@@ -91,8 +95,8 @@ def test_criterion_04_buchberger():
 def test_criterion_05_counting_formulas():
     ok = True
     for n in range(4, 8):
-        type1 = squarefree_standard_counts(n, "12-together")
-        type2 = squarefree_standard_counts(n, "1-and-2-split")
+        type1 = grobner._independent_set_counts(n, class_pool(n, split=False))
+        type2 = grobner._independent_set_counts(n, class_pool(n, split=True))
         for k in range(2 * n - 3 + 1):
             got1 = type1[k] if k < len(type1) else 0
             got2 = type2[k] if k < len(type2) else 0
@@ -100,7 +104,7 @@ def test_criterion_05_counting_formulas():
         # classify every 12-together chain into the four endpoint cells
         rest = frozenset(range(3, n + 1))
         observed = {}
-        for mono in iter_squarefree_standard(n, "12-together"):
+        for mono in squarefree_standard_walk(n, class_pool(n, split=False)):
             sides, split = pattern_split(mono)
             k = mono.degree
             if k == 0:

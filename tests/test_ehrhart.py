@@ -20,6 +20,7 @@ from cutpoly.graph import (
     complete_bipartite,
     configuration,
     cycle,
+    cycle_edges,
     fundamental_cycles,
     path,
 )
@@ -496,6 +497,41 @@ class TestCertificates:
             assert (calls[0] <= 3 * ehrhart.SPOT_CHECKS) == (cycle_edges == 9), (g, calls[0])
             assert counts == [_plain_count(cfg, m) for m in range(3)], g
         assert counts == [1, 32, 408]
+
+    def test_simplex_sees_bridges_at_zero(self, monkeypatch):
+        # Cut(G) is the cut polytope on its cycle edges times [0,1] per
+        # bridge: every column and point the simplex reads holds its bridges
+        # at 0, the columns are distinct, and a tree's 2^|E| fold into one
+        triangle_tail = Graph(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)])
+        plain = [_plain_count(configuration(triangle_tail), m) for m in range(3)]
+        seen = []
+        phase1 = ehrhart._phase1
+
+        def logged(columns, rhs):
+            seen.append((columns, rhs))
+            return phase1(columns, rhs)
+
+        monkeypatch.setattr(ehrhart, "_phase1", logged)
+        cases = ((path(8), [(m + 1) ** 8 for m in range(3)]), (triangle_tail, plain),
+                 (Graph(6, list(K5.edges) + [(5, 6)]), [1, 32, 408]))
+        for g, expected in cases:
+            bridges = set(range(g.edge_count)) - cycle_edges(g)
+            cfg = configuration(g)
+            for m in range(3):
+                seen.clear()
+                assert count_lattice_points(cfg, m) == expected[m], (g, m)
+                assert seen, (g, m)
+                for columns, rhs in seen:
+                    assert len(set(columns)) == len(columns) == \
+                        2 ** (g.vertex_count - 1 - len(bridges)), (g, m)
+                    assert not any(col[e] or rhs[e] for col in columns for e in bridges), (g, m)
+
+    def test_a_tree_takes_one_simplex_call_a_dilate(self, monkeypatch):
+        # every spot point of a tree is the origin once its bridges are 0
+        calls = _count_simplex_calls(monkeypatch)
+        counts = lattice_point_counts(configuration(path(12))).counts
+        assert counts == tuple((m + 1) ** 12 for m in range(14))
+        assert calls[0] == 8  # closed dilates 0..7; interiors 1..6 take none
 
     def test_simplex_runs_only_for_the_spot_check(self, monkeypatch):
         calls = _count_simplex_calls(monkeypatch)

@@ -26,11 +26,9 @@ from cutpoly.grobner import (
     format_binomial,
     generate_gb,
     is_standard,
-    iter_squarefree_standard,
     monomial,
     monomial_order_cmp,
     squarefree_standard_counts,
-    table1_cells,
     variable_table,
 )
 from cutpoly.ehrhart import semigroup_counts
@@ -40,9 +38,12 @@ from cutpoly.polynomial import hstar_closed_form_k2m
 from oracles import (
     buchberger_failures_by_terms,
     chain_characterization_by_sets,
+    class_pool,
     cut_ideal_basis_by_pairs,
     pattern_split,
+    squarefree_standard_walk,
     standard_count_by_filter,
+    table1_cells,
 )
 
 # the nineteen basis binomials of the cut ideal for n = 5, as displayed:
@@ -243,10 +244,14 @@ class TestGenerateBasis:
         assert got == expected
 
     def test_leads_squarefree_and_greater(self):
-        # and the lead pairs, formed without the basis, are its leads
+        # and the conflict masks, formed without the basis, join its leads
         for n in range(4, 10):
             basis = generate_gb(n)
-            assert grobner.lead_pairs(n) == {b.lead.ids for b in basis}, n
+            bad = [0] * len(variable_table(n))
+            for i, j in (b.lead.ids for b in basis):
+                bad[i] |= 1 << j
+                bad[j] |= 1 << i
+            assert grobner._conflict_masks(n) == tuple(bad), n
             for b in basis:
                 assert b.lead.squarefree
                 assert monomial_order_cmp(b.lead, b.trail) == 1
@@ -257,10 +262,10 @@ class TestGenerateBasis:
         top = len(table) - 1
         table._index_by_mask = {mask: top - i for mask, i in table._index_by_mask.items()}
         monkeypatch.setattr(grobner, "variable_table", lambda n: table)
-        grobner.lead_pairs.cache_clear()
+        grobner._conflict_masks.cache_clear()
         grobner._generate_gb_ids.cache_clear()
         with pytest.raises(VerificationError, match="not greater than trail"):
-            grobner.lead_pairs(5)
+            grobner._conflict_masks(5)
         with pytest.raises(VerificationError, match="not greater than trail"):
             generate_gb(5)
 
@@ -490,7 +495,7 @@ class TestStandardMonomials:
 
     def test_enumeration_checks_every_result(self, monkeypatch):
         # clear one compatible pair (i, j) of the chain table in both
-        # directions: the walk's mask test must refuse a support holding both
+        # directions: the check before the walk must name that pair
         i, j = enumerate_squarefree_standard(5, 3)[7].ids[:2]
         compat = list(grobner._chain_compatible(5))
         compat[i] &= ~(1 << j)
@@ -505,6 +510,20 @@ class TestStandardMonomials:
         assert {i, j} <= set(support)
         # the support is a chain: only the cleared pair refused it
         assert chain_characterization_by_sets(PartitionMonomial(5, support))
+
+    def test_enumeration_checks_both_directions(self, monkeypatch):
+        # mark one conflicting pair (i, j) chain-compatible: the walk never
+        # reaches a support holding both, so only the check of the whole
+        # table against the conflict graph can refuse it
+        bad = grobner._conflict_masks(5)
+        i = next(v for v, mask in enumerate(bad) if mask)
+        j = (bad[i] & -bad[i]).bit_length() - 1
+        compat = list(grobner._chain_compatible(5))
+        compat[i] |= 1 << j
+        compat[j] |= 1 << i
+        monkeypatch.setattr(grobner, "_chain_compatible", lambda n: tuple(compat))
+        with pytest.raises(VerificationError, match=rf"^chain characterization failed for \({i}, {j}\)$"):
+            enumerate_squarefree_standard(5, 3)
 
     def test_chain_table_is_the_conflict_graph_complement(self):
         # the chain description of the quadratic basis, pair by pair: two
@@ -524,10 +543,8 @@ class TestStandardMonomials:
         assert squarefree_standard_counts(9)[:3] == [1, 256, 20501]
         with pytest.raises(CostGuardError, match="3842059 binomials estimated, limit 1000000"):
             squarefree_standard_counts(13)
-        # n = 8's counts run, but these walks would visit 263,165,868
-        # and 19,802,028 supports; both are refused before the first one
-        with pytest.raises(CostGuardError, match="263165868 supports"):
-            next(iter_squarefree_standard(8))
+        # n = 8's counts run, but this walk would visit 19,802,028 supports
+        # and is refused before the first one
         with pytest.raises(CostGuardError, match="19802028 supports"):
             enumerate_squarefree_standard(8, 6)
 
@@ -580,8 +597,8 @@ class TestCountingFormulas:
 
     def test_formulas_match_enumeration(self):
         for n in range(4, 10):
-            type1 = squarefree_standard_counts(n, "12-together")
-            type2 = squarefree_standard_counts(n, "1-and-2-split")
+            type1 = list(grobner._independent_set_counts(n, class_pool(n, split=False)))
+            type2 = list(grobner._independent_set_counts(n, class_pool(n, split=True)))
             top = 2 * n - 3
             assert type1 == [count_type1(n, k) for k in range(len(type1))]
             assert type2 == [count_type2(n, k) for k in range(len(type2))]
@@ -591,7 +608,7 @@ class TestCountingFormulas:
         for n in (5, 6):
             rest = frozenset(range(3, n + 1))
             observed = {}
-            for mono in iter_squarefree_standard(n, "12-together"):
+            for mono in squarefree_standard_walk(n, class_pool(n, split=False)):
                 together, split = pattern_split(mono)
                 assert not split
                 k = mono.degree
@@ -610,7 +627,7 @@ class TestCountingFormulas:
     def test_type2_excludes_full_range_chains(self):
         # split-class standard monomials never span from {} to {3..n}
         rest = frozenset(range(3, 5 + 1))
-        for mono in iter_squarefree_standard(5, "1-and-2-split"):
+        for mono in squarefree_standard_walk(5, class_pool(5, split=True)):
             _, split = pattern_split(mono)
             if split:
                 chain = sorted(split, key=len)
@@ -637,13 +654,14 @@ class TestFVector:
             assert f[-1] > 0  # faces of top degree 2n-3 exist
 
     def test_total_face_count_two_routes(self):
-        # per degree and per variable class, the plain walk tallies the counts
+        # per degree and per variable class, the oracle's walk tallies the counts
         for n in (4, 5, 6):
-            for cls in ("all", "12-together", "1-and-2-split"):
-                by_degree = Counter(m.degree for m in iter_squarefree_standard(n, cls))
+            everyone = (1 << len(variable_table(n))) - 1
+            for pool in (everyone, class_pool(n, split=False), class_pool(n, split=True)):
+                by_degree = Counter(m.degree for m in squarefree_standard_walk(n, pool))
                 walked = [by_degree[k] for k in range(max(by_degree) + 1)]
-                assert walked == squarefree_standard_counts(n, cls), (n, cls)
-            assert sum(f_vector(n)) == sum(1 for _ in iter_squarefree_standard(n))
+                assert walked == list(grobner._independent_set_counts(n, pool)), (n, pool)
+            assert sum(f_vector(n)) == sum(1 for _ in squarefree_standard_walk(n))
 
     def test_h_polynomial_equals_closed_form(self):
         from cutpoly.polynomial import f_to_h, hstar_closed_form_k2m
