@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from functools import lru_cache
 from operator import itemgetter
 
 from .errors import CostGuardError, VerificationError, shown
@@ -443,16 +444,21 @@ class _CycleWalk:
 K5_MINOR_FREE_EDGES = 9
 
 
-def _bridges_zeroed(g, points) -> list[tuple[int, ...]]:
-    """`points` with every bridge coordinate of g set to 0, deduplicated in
-    order; a column's last, homogenizing, coordinate is kept.
+def _bridges_zeroed(g, on_cycles, points) -> tuple[tuple[int, ...], ...]:
+    """`points` with every coordinate of g's bridges (the edges off `on_cycles`)
+    set to 0, deduplicated in order; a column's last coordinate is kept.
+    Cut(G) is the cut polytope on its cycle edges times [0,1] per bridge, so a
+    point whose bridges are 0 lies in the m-th dilate exactly when the columns
+    so zeroed reach it; a tree keeps one column of its 2^|E|."""
+    keep = on_cycles | {g.edge_count}
+    return tuple(dict.fromkeys(tuple(x if e in keep else 0 for e, x in enumerate(z)) for z in points))
 
-    Cut(G) is the cut polytope on its cycle edges times [0,1] per bridge, so
-    a point whose bridges are 0 lies in the m-th dilate exactly when the
-    columns so zeroed reach it; a tree keeps one column of its 2^|E|.
-    """
-    keep = cycle_edges(g) | {g.edge_count}
-    return list(dict.fromkeys(tuple(x if e in keep else 0 for e, x in enumerate(z)) for z in points))
+
+@lru_cache(maxsize=1)
+def _simplex_columns(cfg):
+    """cfg's cycle edges, and its columns through `_bridges_zeroed` once for all dilates."""
+    on_cycles = frozenset(cycle_edges(cfg.graph))
+    return on_cycles, _bridges_zeroed(cfg.graph, on_cycles, cfg.columns)
 
 
 # Lattice points per dilate that the simplex re-decides on that path
@@ -490,16 +496,16 @@ def count_lattice_points(cfg, m: int) -> int:
     other graph walks its fundamental cycles (the chordless ones would take
     2^c XORs to find) and the simplex decides each walked point.  Every
     point the simplex decides holds its bridges at 0, so it reads the columns
-    and spot points through `_bridges_zeroed`.
+    and spot points through `_bridges_zeroed`, the columns once per cfg.
     """
     if m < 0:
         raise ValueError("dilate must be nonnegative")
     g = cfg.graph
-    columns = _bridges_zeroed(g, cfg.columns)
-    if len(cycle_edges(g)) > K5_MINOR_FREE_EDGES:
+    on_cycles, columns = _simplex_columns(cfg)
+    if len(on_cycles) > K5_MINOR_FREE_EDGES:
         return _CycleWalk(g, fundamental_cycles(g)).count(m, lambda z: _phase1(columns, z + (m,)))
     rule = _CycleWalk(g, _chordless_cycles(g))
-    for z in _bridges_zeroed(g, _spot_points(cfg, m)):
+    for z in _bridges_zeroed(g, on_cycles, _spot_points(cfg, m)):
         if rule.admits(z, m) != _phase1(columns, z + (m,)):
             raise VerificationError(
                 f"chordless-cycle inequalities and the simplex disagree on {z} at dilate {m}")
@@ -605,12 +611,11 @@ def hstar_from_counts(cs: CountSequence) -> IntPolynomial:
     trailing value signals a counting bug or insufficient data and raises.
     """
     d = cs.dimension
-    counts = cs.counts
     if cs.dilate_max < d:
         raise ValueError(f"need counts through dilate {d}, have {cs.dilate_max}")
     coeffs = []
     for i in range(cs.dilate_max + 1):
-        value = sum((-1) ** j * math.comb(d + 1, j) * counts[i - j]
+        value = sum((-1) ** j * math.comb(d + 1, j) * cs.counts[i - j]
                     for j in range(0, min(i, d + 1) + 1))
         if i <= d:
             if value < 0:
@@ -632,8 +637,7 @@ def hstar_polynomial(cfg, method: str = "semigroup",
     needed = cfg.dimension + 1
     M = needed if max_dilate is None else max_dilate
     if M < needed:
-        raise CostGuardError(
-            f"dilate budget {M} too small: need counts through dilate {needed}")
+        raise CostGuardError(f"dilate budget {M} too small: need counts through dilate {needed}")
     if method == "semigroup":
         cs = semigroup_counts(cfg, M)
     elif method == "lp":

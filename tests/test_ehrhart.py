@@ -487,14 +487,14 @@ class TestCertificates:
         # takes it with spot checks only; K_5 with one has 10 on cycles, so
         # the simplex decides each walked point
         calls = _count_simplex_calls(monkeypatch)
-        for g, cycle_edges in ((Graph(7, list(complete_bipartite(3, 3).edges) + [(6, 7)]), 9),
-                               (Graph(6, list(K5.edges) + [(5, 6)]), 10)):
+        for g, on_cycles in ((Graph(7, list(complete_bipartite(3, 3).edges) + [(6, 7)]), 9),
+                             (Graph(6, list(K5.edges) + [(5, 6)]), 10)):
             assert g.edge_count > ehrhart.K5_MINOR_FREE_EDGES
-            assert len({e for cyc in fundamental_cycles(g) for e in cyc}) == cycle_edges
+            assert len(cycle_edges(g)) == on_cycles
             cfg = configuration(g)
             calls[0] = 0
             counts = [count_lattice_points(cfg, m) for m in range(3)]
-            assert (calls[0] <= 3 * ehrhart.SPOT_CHECKS) == (cycle_edges == 9), (g, calls[0])
+            assert (calls[0] <= 3 * ehrhart.SPOT_CHECKS) == (on_cycles == 9), (g, calls[0])
             assert counts == [_plain_count(cfg, m) for m in range(3)], g
         assert counts == [1, 32, 408]
 
@@ -532,6 +532,18 @@ class TestCertificates:
         counts = lattice_point_counts(configuration(path(12))).counts
         assert counts == tuple((m + 1) ** 12 for m in range(14))
         assert calls[0] == 8  # closed dilates 0..7; interiors 1..6 take none
+
+    def test_columns_zeroed_once_per_configuration(self, monkeypatch):
+        # the cycle edges are found and the columns zeroed once for all
+        # dilates of a configuration, not once per dilate
+        found = []
+        monkeypatch.setattr(ehrhart, "cycle_edges", lambda g: found.append(g) or cycle_edges(g))
+        ehrhart._simplex_columns.cache_clear()
+        for g in (path(6), cycle(5)):
+            cfg = configuration(g)
+            counts = [count_lattice_points(cfg, m) for m in range(3)]
+            assert counts == [_plain_count(cfg, m) for m in range(3)], g
+        assert found == [path(6), cycle(5)]
 
     def test_simplex_runs_only_for_the_spot_check(self, monkeypatch):
         calls = _count_simplex_calls(monkeypatch)
