@@ -23,66 +23,45 @@ EXIT_COST_GUARD = 3
 EXIT_VERIFICATION = 4
 
 
-class RunReport:
-    """Deterministic result bundle rendered identically to text and JSON."""
-
-    __slots__ = ("command", "data", "timing_s", "show_timing")
-
-    def __init__(self, command: str, data: dict, timing_s: float = 0.0,
-                 show_timing: bool = False):
-        self.command = command
-        self.data = data
-        self.timing_s = timing_s
-        self.show_timing = show_timing
-
-    def payload(self) -> dict:
-        out = {"command": self.command}
-        out.update(self.data)
-        if self.show_timing:
-            out["timing_s"] = round(self.timing_s, 3)
-        return out
-
-    def write(self, fh, as_json: bool) -> None:
-        """Write the report to `fh` in blocks of chunks as it is encoded
-        (a write per chunk costs more than the encoding on stdout)."""
-        import itertools
-        if as_json:
-            import json
-            chunks = json.JSONEncoder(indent=2).iterencode(self.payload())
+def _text_chunks(report: dict):
+    """The text report in pieces: a "name: value" line per leaf, a list leaf's
+    items space-separated, a list of lists one row per line."""
+    def leaf(name, value):
+        if isinstance(value, list) and value and isinstance(value[0], list):
+            yield f"{name}:\n"
+            for row in value:
+                yield "  " + " ".join(str(x) for x in row) + "\n"
+        elif isinstance(value, list):
+            yield f"{name}: "
+            for i, x in enumerate(value):
+                yield f" {x!s}" if i else str(x)
+            yield "\n"
         else:
-            chunks = self.text_chunks()
-        for block in iter(lambda: "".join(itertools.islice(chunks, 8192)), ""):
-            fh.write(block)
-        if as_json:
-            fh.write("\n")
+            yield f"{name}: {value}\n"
 
-    def to_text(self) -> str:
-        return "".join(self.text_chunks())
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for key, sub in value.items():
+                yield from walk(f"{prefix}.{key}" if prefix else key, sub)
+        else:
+            yield from leaf(prefix, value)
 
-    def text_chunks(self):
-        """The text report in pieces: a "name: value" line per leaf, a list
-        leaf's items space-separated, a list of lists one row per line."""
-        def leaf(name, value):
-            if isinstance(value, list) and value and isinstance(value[0], list):
-                yield f"{name}:\n"
-                for row in value:
-                    yield "  " + " ".join(str(x) for x in row) + "\n"
-            elif isinstance(value, list):
-                yield f"{name}: "
-                for i, x in enumerate(value):
-                    yield f" {x!s}" if i else str(x)
-                yield "\n"
-            else:
-                yield f"{name}: {value}\n"
+    return walk("", report)
 
-        def walk(prefix, value):
-            if isinstance(value, dict):
-                for key, sub in value.items():
-                    yield from walk(f"{prefix}.{key}" if prefix else key, sub)
-            else:
-                yield from leaf(prefix, value)
 
-        return walk("", self.payload())
+def _write_report(fh, report: dict, as_json: bool) -> None:
+    """Write the report to `fh` in blocks of chunks as it is encoded (a write
+    per chunk costs more than the encoding on stdout)."""
+    import itertools
+    if as_json:
+        import json
+        chunks = json.JSONEncoder(indent=2).iterencode(report)
+    else:
+        chunks = _text_chunks(report)
+    for block in iter(lambda: "".join(itertools.islice(chunks, 8192)), ""):
+        fh.write(block)
+    if as_json:
+        fh.write("\n")
 
 
 def _graph_from_args(args) -> tuple[Graph, dict]:
@@ -122,20 +101,20 @@ def _poly_entry(p, route: str) -> dict:
     }
 
 
-def cmd_vertices(args) -> RunReport:
+def cmd_vertices(args) -> dict:
     from .graph import configuration
     g, descriptor = _graph_from_args(args)
     cfg = configuration(g)
-    data = {
+    return {
+        "command": "vertices",
         "graph": descriptor,
         "vertex_count": cfg.column_count,
         "vertices": [list(c[:-1]) for c in cfg.columns],
         "configuration_columns": [list(c) for c in cfg.columns],
     }
-    return RunReport(command="vertices", data=data)
 
 
-def cmd_hstar(args) -> RunReport:
+def cmd_hstar(args) -> dict:
     from . import ehrhart
     from .graph import configuration
     if args.from_counts is not None:
@@ -154,18 +133,18 @@ def cmd_hstar(args) -> RunReport:
         h = ehrhart.hstar_from_counts(cs)
         entry = _poly_entry(h, "counts-file")
         entry["counts"] = list(cs.counts)
-        data = {
+        return {
+            "command": "hstar",
             "counts_file": args.from_counts,
             "method": "counts-file",
             "dimension": cs.dimension,
             "results": {"counts-file": entry},
         }
-        return RunReport(command="hstar", data=data)
     g, descriptor = _graph_from_args(args)
     cfg = configuration(g)
     method = args.method or "semigroup"
-    data = {"graph": descriptor, "method": method}
-    data["dimension"] = cfg.dimension
+    # "command" is added on return: a disagreement prints the report without it
+    data = {"graph": descriptor, "method": method, "dimension": cfg.dimension}
     routes = ("semigroup", "lp") if method == "both" else (method,)
     if method == "both":
         # refuse the lp budget before the semigroup route does its work
@@ -189,7 +168,7 @@ def cmd_hstar(args) -> RunReport:
         with open(args.counts_out, "w", encoding="utf-8") as fh:
             fh.write(sequences[routes[0]].to_json() + "\n")
         data["counts_out"] = args.counts_out
-    return RunReport(command="hstar", data=data)
+    return {"command": "hstar", **data}
 
 
 def _refuse_unprintable(n: int, largest: int | None = None) -> None:
@@ -204,7 +183,7 @@ def _refuse_unprintable(n: int, largest: int | None = None) -> None:
                              f"print, limit {limit} digits (sys.get_int_max_str_digits)")
 
 
-def cmd_closed_form(args) -> RunReport:
+def cmd_closed_form(args) -> dict:
     from .polynomial import eulerian, format_polynomial, hstar_closed_form_k2m
     n = args.n
     if n < 4:
@@ -212,36 +191,35 @@ def cmd_closed_form(args) -> RunReport:
     _refuse_unprintable(n)
     h = hstar_closed_form_k2m(n)
     a = eulerian(n - 2)
-    data = {
+    return {
+        "command": "closed-form",
         "n": n,
         "hstar": _poly_entry(h, "closed-form"),
         "eulerian_factor": {"route": "closed-form", "coefficients": list(a.coeffs),
                             "text": format_polynomial(a)},
         "normalized_volume": {"route": "closed-form", "value": h.evaluate(1)},
     }
-    return RunReport(command="closed-form", data=data)
 
 
-def cmd_gb(args) -> RunReport:
+def cmd_gb(args) -> dict:
     from . import grobner
     from .polynomial import f_to_h, hstar_closed_form_k2m
     n = args.n
     if n < 4:
         raise argparse.ArgumentTypeError("cut-ideal basis needs n >= 4")
-    data = {"n": n, "action": args.action}
+    report = {"command": "gb", "n": n, "action": args.action}
     if args.action == "list":
         basis = grobner.generate_gb(n)
-        data["binomial_count"] = len(basis)
-        data["binomials"] = grobner.basis_payload(basis)
-        data["binomial_text"] = [grobner.format_binomial(b) for b in basis]
-        return RunReport(command="gb", data=data)
+        report["binomial_count"] = len(basis)
+        report["binomials"] = grobner.basis_payload(basis)
+        report["binomial_text"] = [grobner.format_binomial(b) for b in basis]
+        return report
     if args.action == "verify":
         ok, certificate = grobner.buchberger_check(n)
-        data["verdict"] = "PASS" if ok else "FAIL"
-        data["certificate"] = certificate
-        report = RunReport(command="gb", data=data)
+        report["verdict"] = "PASS" if ok else "FAIL"
+        report["certificate"] = certificate
         if not ok:
-            raise VerificationError("Buchberger check failed:\n" + report.to_text())
+            raise VerificationError("Buchberger check failed:\n" + "".join(_text_chunks(report)))
         return report
     if args.action == "fvector":
         # the volume is f's top entry; a middle entry may be longer
@@ -249,9 +227,9 @@ def cmd_gb(args) -> RunReport:
         f = grobner.f_vector(n)
         _refuse_unprintable(n, max(f))
         h = f_to_h(f, 2 * n - 4)
-        data["f_vector"] = {"route": "gb-f-vector", "values": f}
-        data["h_polynomial"] = _poly_entry(h, "gb-f-vector")
-        return RunReport(command="gb", data=data)
+        report["f_vector"] = {"route": "gb-f-vector", "values": f}
+        report["h_polynomial"] = _poly_entry(h, "gb-f-vector")
+        return report
     if args.action == "compare":
         from . import ehrhart
         from .graph import complete_bipartite, configuration
@@ -260,16 +238,16 @@ def cmd_gb(args) -> RunReport:
         h_gb = f_to_h(f, 2 * n - 4)
         h_closed = hstar_closed_form_k2m(n)
         h_ehrhart, _ = ehrhart.hstar_polynomial(cfg, "semigroup")
-        data["results"] = {
+        report["results"] = {
             "gb-f-vector": _poly_entry(h_gb, "gb-f-vector"),
             "closed-form": _poly_entry(h_closed, "closed-form"),
             "semigroup": _poly_entry(h_ehrhart, "semigroup"),
         }
         agree = h_gb == h_closed == h_ehrhart
-        data["agreement"] = "PASS" if agree else "FAIL"
-        report = RunReport(command="gb", data=data)
+        report["agreement"] = "PASS" if agree else "FAIL"
         if not agree:
-            raise VerificationError("three-way h* comparison failed:\n" + report.to_text())
+            raise VerificationError("three-way h* comparison failed:\n" +
+                                    "".join(_text_chunks(report)))
         return report
     raise argparse.ArgumentTypeError(f"unknown gb action {args.action!r}")
 
@@ -353,13 +331,13 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    report.timing_s = time.perf_counter() - started
-    report.show_timing = args.timing
+    if args.timing:
+        report["timing_s"] = round(time.perf_counter() - started, 3)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            report.write(fh, args.json)
+            _write_report(fh, report, args.json)
     else:
-        report.write(sys.stdout, args.json)
+        _write_report(sys.stdout, report, args.json)
     return EXIT_OK
 
 

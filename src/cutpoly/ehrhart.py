@@ -13,9 +13,10 @@ disagreement raises.  There only about half the dilates and as many
 interiors are walked; by Ehrhart-Macdonald reciprocity they fix the Ehrhart
 polynomial, every spare count is checked against it, and the rest are read
 off it.  Any other graph takes the same walk over its fundamental cycles, and
-the simplex decides each walked point of every dilate.  The two routes agree
-exactly when the toric ring is normal; disagreements are surfaced, never
-masked.
+the simplex decides each walked point of every dilate.  The walk is built once
+per configuration, and the guard charges the dilates it will walk before any
+of them.  The two routes agree exactly when the toric ring is normal;
+disagreements are surfaced, never masked.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import itemgetter
 
 from .errors import CostGuardError, VerificationError, shown
 from .graph import cycle_edges, fundamental_cycles
-from .polynomial import IntPolynomial, stirling2
+from .polynomial import IntPolynomial
 from .record import FrozenRecord
 
 
@@ -455,91 +456,93 @@ def _bridges_zeroed(g, on_cycles, points) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=1)
-def _simplex_columns(cfg):
-    """cfg's cycle edges, and its columns through `_bridges_zeroed` once for all dilates."""
-    on_cycles = frozenset(cycle_edges(cfg.graph))
-    return on_cycles, _bridges_zeroed(cfg.graph, on_cycles, cfg.columns)
+def _lp_route(cfg):
+    """cfg's LP route, built once for all dilates: its walk, whether the walk
+    is exact, its edges on cycles, and its columns through `_bridges_zeroed`.
+
+    With at most K5_MINOR_FREE_EDGES edges on cycles the graph has no K5
+    minor, and the walk over every chordless cycle is exact: it counts a
+    dilate with no simplex call.  Any other graph walks its fundamental
+    cycles (the chordless ones would take 2^c XORs to find), and the simplex
+    decides each walked point.
+    """
+    g = cfg.graph
+    on_cycles = cycle_edges(g)
+    exact = len(on_cycles) <= K5_MINOR_FREE_EDGES
+    walk = _CycleWalk(g, _chordless_cycles(g) if exact else fundamental_cycles(g))
+    return walk, exact, on_cycles, _bridges_zeroed(g, on_cycles, cfg.columns)
 
 
 # Lattice points per dilate that the simplex re-decides on that path
 SPOT_CHECKS = 16
 
 
-def _spot_points(cfg, m: int) -> list[tuple[int, ...]]:
-    """Up to SPOT_CHECKS lattice points of [0,m]^E, the same on every run.
+def _spot_points(columns, m: int) -> list[tuple[int, ...]]:
+    """SPOT_CHECKS lattice points of [0,m]^E, the same on every run.
 
-    Half are sums of m cut vectors, so in the dilate.  The others take a cut
-    vector's parities and raise every coordinate by an even amount that stays
-    within m, so they fall on either side.  [0,0]^E holds only the origin.
+    Odd draws are sums of m `columns` (last coordinate dropped), so in the
+    dilate.  Even ones take a column's parities and raise every coordinate by
+    an even amount that stays within m, so they fall on either side.
+    [0,0]^E holds only the origin.
     """
     if not m:
-        return [(0,) * cfg.dimension]
+        return [(0,) * (len(columns[0]) - 1)]
     rng = random.Random(m)
-    cuts = [col[:-1] for col in cfg.columns]
-    points = {}
-    for k in range(SPOT_CHECKS):
-        if k & 1:
-            z = tuple(map(sum, zip(*rng.choices(cuts, k=m))))
-        else:
-            z = tuple(c + 2 * rng.randrange((m - c) // 2 + 1) for c in rng.choice(cuts))
-        points[z] = None
-    return list(points)
+    return [tuple(map(sum, zip(*rng.choices(columns, k=m))))[:-1] if k & 1 else
+            tuple(c + 2 * rng.randrange((m - c) // 2 + 1) for c in rng.choice(columns)[:-1])
+            for k in range(SPOT_CHECKS)]
 
 
 def count_lattice_points(cfg, m: int) -> int:
     """|m P' intersect ZA|: integer points of the dilate lying in the column lattice.
 
-    A graph with at most K5_MINOR_FREE_EDGES edges on its fundamental cycles
-    has no K5 minor, so its count is `_CycleWalk.count` over every chordless
-    cycle, with no simplex call.  The phase-1 simplex re-decides
-    `_spot_points` first, and any disagreement raises VerificationError.  Any
-    other graph walks its fundamental cycles (the chordless ones would take
-    2^c XORs to find) and the simplex decides each walked point.  Every
-    point the simplex decides holds its bridges at 0, so it reads the columns
-    and spot points through `_bridges_zeroed`, the columns once per cfg.
+    `_lp_route`'s walk counts them.  On an exact walk the phase-1 simplex
+    first re-decides `_spot_points`, and any disagreement raises
+    VerificationError; otherwise the simplex decides each walked point.  The
+    simplex reads the route's columns and points with every bridge at 0.
     """
     if m < 0:
         raise ValueError("dilate must be nonnegative")
-    g = cfg.graph
-    on_cycles, columns = _simplex_columns(cfg)
-    if len(on_cycles) > K5_MINOR_FREE_EDGES:
-        return _CycleWalk(g, fundamental_cycles(g)).count(m, lambda z: _phase1(columns, z + (m,)))
-    rule = _CycleWalk(g, _chordless_cycles(g))
-    for z in _bridges_zeroed(g, on_cycles, _spot_points(cfg, m)):
-        if rule.admits(z, m) != _phase1(columns, z + (m,)):
+    walk, exact, on_cycles, columns = _lp_route(cfg)
+    if not exact:
+        return walk.count(m, lambda z: _phase1(columns, z + (m,)))
+    for z in _bridges_zeroed(cfg.graph, on_cycles, _spot_points(columns, m)):
+        if walk.admits(z, m) != _phase1(columns, z + (m,)):
             raise VerificationError(
                 f"chordless-cycle inequalities and the simplex disagree on {z} at dilate {m}")
-    return rule.count(m)
+    return walk.count(m)
 
 
-# Box candidates the LP route may visit over all dilates before it is refused;
-# K_{2,3}, K_4 and C_6 at their default budget (dilate 7) visit 446,964.
+# Box points the LP walk may span over the dilates it walks before it is
+# refused.  At the default budget C_8 and K_{2,4} span at least 210,772 and
+# pass (about 1.2 s and 0.3 s); every graph with 9 edges on cycles spans at
+# least 1,148,871 and is refused, as C_9 would take about 5 s (2-vCPU VM).
 LP_CANDIDATE_LIMIT = 1_000_000
 
 
-def _box_candidates(d: int, max_dilate: int) -> int:
-    """Points in the boxes [0,m]^d for m = 0..max_dilate: sum of k^d for k = 1..M+1.
+def check_lp_cost(cfg, max_dilate: int | None = None) -> tuple[int, int]:
+    """The LP route's plan for dilates 0..M (default d+1): (A, B), to count
+    the closed dilates 0..A and the interiors of 1..B.  B = floor(M/2) when
+    `_lp_route`'s walk is exact and M >= d, else 0; A = M - B.
 
-    Read off sum_{k=0}^{n} k^d = sum_j S(d,j) j! C(n+1, j+1) for d >= 1, so
-    it takes d terms whatever the budget; [0,m]^0 is one point.
+    The walk spans w edges per point: on an exact walk all c edges on cycles
+    but the last, which is counted, else all c.  Its boxes hold sum (m+1)^w
+    points over the closed dilates and sum (m-1)^w over the interiors, at
+    least ((A+1)^(w+1) + (B-1)^(w+1)) // (w+1), and CostGuardError is raised
+    when that bound exceeds LP_CANDIDATE_LIMIT.  Only the cycle edges are
+    read, so this decides before any work.
     """
-    n = max(max_dilate + 1, 0)
-    if not d:
-        return n
-    return sum(stirling2(d, j) * math.factorial(j) * math.comb(n + 1, j + 1)
-               for j in range(1, d + 1))
-
-
-def check_lp_cost(cfg, max_dilate: int | None = None) -> None:
-    """Refuse the LP route when its boxes for dilates 0..max_dilate (default d+1)
-    hold more than LP_CANDIDATE_LIMIT points.  A box spans only the edges on
-    a cycle: the walk holds each bridge at 0 and multiplies it out."""
     M = cfg.dimension + 1 if max_dilate is None else max_dilate
-    candidates = _box_candidates(len(cycle_edges(cfg.graph)), M)
+    c = len(cycle_edges(cfg.graph))
+    exact = c <= K5_MINOR_FREE_EDGES
+    B = M // 2 if exact and M >= cfg.dimension else 0
+    A, w = M - B, max(c - exact, 0)
+    candidates = (max(A + 1, 0) ** (w + 1) + max(B - 1, 0) ** (w + 1)) // (w + 1)
     if candidates > LP_CANDIDATE_LIMIT:
         raise CostGuardError(
-            f"lp route refused: {shown(candidates)} box candidates for dilates 0..{M}, "
-            f"over the limit {LP_CANDIDATE_LIMIT}")
+            f"lp route refused: at least {shown(candidates)} box candidates on {w} walked edges "
+            f"for closed dilates 0..{A} and {B} interiors, over the limit {LP_CANDIDATE_LIMIT}")
+    return A, B
 
 
 def _reciprocal_counts(d: int, M: int, closed, interior) -> tuple[int, ...]:
@@ -576,27 +579,17 @@ def _reciprocal_counts(d: int, M: int, closed, interior) -> tuple[int, ...]:
 def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     """CountSequence via the lattice-point route (independent of normality).
 
-    Closed dilates 0..M-B are counted and the interiors of dilates 1..B are
-    walked with `strict`, then `_reciprocal_counts` reads the counts for 0..M
-    off the Ehrhart polynomial they fix, which each of the M-d spare counts
-    must meet.  B = floor(M/2) on a graph that `count_lattice_points` counts
-    without the simplex (no K5 minor) and a budget of at least d; otherwise
-    B = 0 and every dilate is counted.
-
-    Raises CostGuardError, before the first candidate, by check_lp_cost, which
-    charges every dilate 0..M whichever are walked.
+    It walks the plan (A, B) of `check_lp_cost`, which raises CostGuardError
+    before any work: closed dilates 0..A by `count_lattice_points`, and the
+    interiors of dilates 1..B by the route's walk with `strict`.  Then
+    `_reciprocal_counts` reads the counts for 0..A+B off the Ehrhart
+    polynomial they fix, which each of the spare counts must meet.
     """
-    check_lp_cost(cfg, max_dilate)
-    d = cfg.dimension
-    M = d + 1 if max_dilate is None else max_dilate
-    g = cfg.graph
-    B = M // 2 if M >= d and len(cycle_edges(g)) <= K5_MINOR_FREE_EDGES else 0
-    closed = [count_lattice_points(cfg, m=m) for m in range(M - B + 1)]
-    interior = []
-    if B:
-        rule = _CycleWalk(g, _chordless_cycles(g))
-        interior = [rule.count(m, strict=True) for m in range(1, B + 1)]
-    return CountSequence(dimension=d, counts=_reciprocal_counts(d, M, closed, interior))
+    A, B = check_lp_cost(cfg, max_dilate)
+    closed = [count_lattice_points(cfg, m=m) for m in range(A + 1)]
+    walk, d = _lp_route(cfg)[0], cfg.dimension
+    interior = [walk.count(m, strict=True) for m in range(1, B + 1)]
+    return CountSequence(dimension=d, counts=_reciprocal_counts(d, A + B, closed, interior))
 
 
 # ---------------------------------------------------------------------------

@@ -182,17 +182,40 @@ class TestHstar:
         assert "52953088 entries estimated, limit 4194304" in err
 
     def test_lp_cost_guard(self, capsys):
-        # boxes [0,m]^8 for m = 0..9 hold 167,731,333 candidates
-        code, out, err = run_cli(capsys, "hstar", "--kbipartite", "2", "4", "--method", "lp")
+        # K_{3,3}: an exact walk over 8 of its 9 edges, closed dilates 0..5
+        # and interiors 1..5, spans at least (6^9 + 4^9) // 9 box points
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "hstar", "--kbipartite", "3", "3", "--method", "lp")
+        assert time.perf_counter() - start < 1
         assert code == EXIT_COST_GUARD
         assert out == ""
-        assert "167731333" in err
+        assert err == ("cost guard: lp route refused: at least 1148871 box candidates on 8 "
+                       "walked edges for closed dilates 0..5 and 5 interiors, over the "
+                       "limit 1000000\n")
+
+    def test_lp_route_past_seven_cycle_edges(self, capsys):
+        # C_7, C_8 and K_{2,4} pass the guard: C_7 and K_{2,4} agree with the
+        # semigroup route, C_8 with its counts through dilate d = 8 (the
+        # semigroup guard refuses d+1), and K_{2,4} with the closed form
+        from cutpoly.graph import configuration, cycle
+        hstar = {}
+        for argv in (("--cycle", "7", "--method", "both"), ("--cycle", "8", "--method", "lp"),
+                     ("--kbipartite", "2", "4", "--method", "both")):
+            code, out, _ = run_cli(capsys, "--json", "hstar", *argv)
+            assert code == EXIT_OK, argv
+            payload = json.loads(out)
+            assert payload.get("agreement", "PASS") == "PASS", argv
+            hstar[argv[0]] = payload["results"]["lp"]["coefficients"]
+        semigroup = ehrhart.semigroup_counts(configuration(cycle(8)), 8)
+        assert hstar["--cycle"] == list(ehrhart.hstar_from_counts(semigroup).coeffs)
+        code, out, _ = run_cli(capsys, "--json", "closed-form", "6")
+        assert hstar["--kbipartite"] == json.loads(out)["hstar"]["coefficients"]
 
     def test_guards_past_printable_estimates(self, capsys):
         # estimates longer than Python prints are refused by the power of two
         # they reach, not by the failed integer-to-text conversion (exit 2)
         cases = ((("--cycle", "3", "--method", "lp", "--max-dilate", "9" * 1500),
-                  "lp route refused: 2^19929 or more box candidates"),
+                  "lp route refused: at least 2^14945 or more box candidates on 2 walked edges"),
                  (("--path", "1", "--max-dilate", "9" * 2200),
                   "semigroup sumset refused at dilate 1: at least 2^14615 or more bits"))
         for argv, message in cases:
@@ -201,13 +224,18 @@ class TestHstar:
             assert out == ""
             assert message in err
 
-    def test_lp_cost_guard_runs_before_the_semigroup_route(self, capsys):
+    def test_lp_cost_guard_runs_before_the_semigroup_route(self, capsys, tmp_path):
         # --method both runs the LP route's guard before either route, so its
-        # refusal comes first though the semigroup route counts K_{2,4}
-        code, out, err = run_cli(capsys, "hstar", "--kbipartite", "2", "4", "--method", "both")
+        # refusal comes first though the semigroup route counts K5 minus an edge
+        target = tmp_path / "k5e.txt"
+        target.write_text("5\n" + "".join(f"{u} {v}\n" for u in range(1, 6)
+                                          for v in range(u + 1, 6) if (u, v) != (4, 5)))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "hstar", "--edge-list", str(target), "--method", "both")
+        assert time.perf_counter() - start < 1
         assert code == EXIT_COST_GUARD
         assert out == ""
-        assert "lp route refused" in err and "167731333" in err
+        assert "lp route refused: at least 1148871 box candidates" in err
 
     def test_counts_json_round_trip(self, capsys, tmp_path):
         counts_file = tmp_path / "counts.json"

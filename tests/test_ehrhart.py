@@ -297,29 +297,39 @@ class TestLatticePointCounts:
         assert count_lattice_points(c4_config, 2) == \
             semigroup_counts(c4_config).counts[2]
 
-    def test_cost_guard_refuses_before_the_first_candidate(self):
-        # C_7 at dilates 0..8: sum of k^7 for k = 1..9 box candidates
+    def test_cost_guard_refuses_before_the_first_candidate(self, monkeypatch):
+        # K_{3,3} at dilates 0..10: 9 edges on cycles, an exact walk over 8 of
+        # them, closed dilates 0..5 and interiors 1..5: (6^9 + 4^9) // 9
+        built = []
+        monkeypatch.setattr(ehrhart, "_lp_route", built.append)
         with pytest.raises(CostGuardError) as exc:
-            lattice_point_counts(configuration(cycle(7)))
-        message = str(exc.value)
-        assert "8080425" in message and str(ehrhart.LP_CANDIDATE_LIMIT) in message
+            lattice_point_counts(configuration(complete_bipartite(3, 3)))
+        assert str(exc.value) == (
+            "lp route refused: at least 1148871 box candidates on 8 walked edges for closed "
+            f"dilates 0..5 and 5 interiors, over the limit {ehrhart.LP_CANDIDATE_LIMIT}")
+        assert not built
 
-    def test_box_candidates_closed_form(self):
-        for d in range(0, 12):
-            for M in range(-3, 15):
-                assert ehrhart._box_candidates(d, M) == \
-                    sum((m + 1) ** d for m in range(M + 1))
+    def test_cost_guard_plans(self):
+        # (A, B): B = floor(M/2) on an exact walk with M >= d, else 0; the
+        # 7- and 8-cycle-edge graphs now pass, K_5's non-exact walk at dilates
+        # 0..2 too
+        cases = ((cycle(7), None, (4, 4)), (cycle(8), None, (5, 4)),
+                 (complete_bipartite(2, 4), None, (5, 4)), (cycle(4), 4, (2, 2)),
+                 (cycle(4), 3, (3, 0)), (K5, 2, (2, 0)), (path(3), -5, (-5, 0)))
+        for g, M, plan in cases:
+            assert ehrhart.check_lp_cost(configuration(g), M) == plan, (g, M)
 
     def test_cost_guard_is_quick_on_a_huge_budget(self):
-        # a single edge at dilates 0..10^12 is a bridge: one point per dilate;
-        # a triangle's (10^12+1)^2(10^12+2)^2/4 candidates are estimated in
-        # three terms rather than a loop over the dilates
+        # a single edge at dilates 0..10^12 is a bridge: one point per closed
+        # dilate 0..5*10^11 and interior 1..5*10^11; a triangle walks 2 edges,
+        # bounded below in two powers rather than a loop over the dilates
+        half = 5 * 10 ** 11
         with pytest.raises(CostGuardError) as exc:
             lattice_point_counts(configuration(path(1)), 10 ** 12)
-        assert str(10 ** 12 + 1) + " box candidates" in str(exc.value)
+        assert f"at least {10 ** 12} box candidates on 0 walked edges" in str(exc.value)
         with pytest.raises(CostGuardError) as exc:
             lattice_point_counts(configuration(cycle(3)), 10 ** 12)
-        assert str(((10 ** 12 + 1) * (10 ** 12 + 2) // 2) ** 2) in str(exc.value)
+        assert f"at least {((half + 1) ** 3 + (half - 1) ** 3) // 3} box" in str(exc.value)
 
     def test_pruner_only_rejects_infeasible_points(self, k23_config):
         # every point the cycle-inequality pruner drops must fail the exact test
@@ -538,7 +548,7 @@ class TestCertificates:
         # dilates of a configuration, not once per dilate
         found = []
         monkeypatch.setattr(ehrhart, "cycle_edges", lambda g: found.append(g) or cycle_edges(g))
-        ehrhart._simplex_columns.cache_clear()
+        ehrhart._lp_route.cache_clear()
         for g in (path(6), cycle(5)):
             cfg = configuration(g)
             counts = [count_lattice_points(cfg, m) for m in range(3)]
@@ -598,8 +608,8 @@ class TestReciprocity:
 
     def test_seeded_graphs_match_every_dilate_and_the_semigroup_route(self):
         # connected graphs on at most 6 vertices and 9 edges; a budget the LP
-        # guard refuses is skipped, as counting every dilate under it would
-        # take minutes
+        # guard refuses (each has 9 edges on cycles) is skipped, as counting
+        # every dilate under it would take minutes
         rng = random.Random(1904)
         checked = 0
         for _ in range(30):
@@ -614,7 +624,7 @@ class TestReciprocity:
                     (cfg.graph, M)
                 assert counts == semigroup_counts(cfg, M).counts, (cfg.graph, M)
                 checked += 1
-        assert checked >= 30
+        assert checked >= 56
 
     def test_dilates_walked(self, monkeypatch):
         # closed dilates 0..ceil(M/2) by count_lattice_points, interiors
@@ -633,6 +643,41 @@ class TestReciprocity:
                 semigroup_counts(configuration(cycle(4)), M).counts
             assert walked == [(m, False) for m in range(closed + 1)] + \
                 [(m, True) for m in range(1, interior + 1)], M
+
+    def test_a_non_exact_plan_counts_every_dilate(self, monkeypatch):
+        # K_5 has 10 edges on cycles, so its walk is not exact: the plan at
+        # budget 2 is closed dilates 0..2, the simplex deciding each walked
+        # point, and no interior.  Three counts cannot fix a polynomial of
+        # degree 10, so they are refused once counted
+        walked = []
+        count = ehrhart._CycleWalk.count
+
+        def logged(self, m, decide=None, strict=False):
+            walked.append((m, decide is not None, strict, count(self, m, decide, strict)))
+            return walked[-1][-1]
+
+        monkeypatch.setattr(ehrhart._CycleWalk, "count", logged)
+        cfg = configuration(K5)
+        assert ehrhart.check_lp_cost(cfg, 2) == (2, 0)
+        with pytest.raises(ValueError, match="need counts through dilate 10, have 2"):
+            lattice_point_counts(cfg, 2)
+        assert walked == [(m, True, False, c) for m, c in enumerate((1, 16, 136))]
+        assert ehrhart._semigroup_layer_sizes(cfg.columns, 2) == [1, 16, 136]
+
+    def test_one_walk_per_configuration(self, monkeypatch):
+        # the closed dilates and the interiors share the route's one walk
+        built = []
+        init = ehrhart._CycleWalk.__init__
+
+        def logged(self, g, cycles):
+            built.append(g)
+            init(self, g, cycles)
+
+        monkeypatch.setattr(ehrhart._CycleWalk, "__init__", logged)
+        ehrhart._lp_route.cache_clear()
+        for g, M in ((cycle(5), None), (K4, None), (cycle(5), 9)):
+            lattice_point_counts(configuration(g), M)
+        assert built == [cycle(5), K4, cycle(5)]
 
     def test_a_count_off_by_one_is_refused(self, monkeypatch):
         # one interior or closed count one too high, at each walked dilate in
