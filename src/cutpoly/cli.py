@@ -322,6 +322,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report = args.handler(args)
+        if args.timing:
+            report["timing_s"] = round(time.perf_counter() - started, 3)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                _write_report(fh, report, args.json)
     except (argparse.ArgumentTypeError, EdgeListParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -331,12 +336,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    if args.timing:
-        report["timing_s"] = round(time.perf_counter() - started, 3)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_report(fh, report, args.json)
-    else:
+    if not args.out:
         _write_report(sys.stdout, report, args.json)
     return EXIT_OK
 

@@ -9,14 +9,13 @@ with at most nine edges on cycles has no K5 minor, so there the dilate is cut
 out by the parity and odd-set inequalities of its chordless cycles
 (Barahona-Mahjoub), counted by a pruned walk with no simplex call; an exact
 rational phase-1 simplex re-decides a few points per dilate, and any
-disagreement raises.  There only about half the dilates and as many
-interiors are walked; by Ehrhart-Macdonald reciprocity they fix the Ehrhart
-polynomial, every spare count is checked against it, and the rest are read
-off it.  Any other graph takes the same walk over its fundamental cycles, and
-the simplex decides each walked point of every dilate.  The walk is built once
-per configuration, and the guard charges the dilates it will walk before any
-of them.  The two routes agree exactly when the toric ring is normal;
-disagreements are surfaced, never masked.
+disagreement raises.  Any other graph is refused.  Only about half the
+dilates and as many interiors are walked; by Ehrhart-Macdonald reciprocity
+they fix the Ehrhart polynomial, every spare count is checked against it, and
+the rest are read off it.  The walk is built once per configuration, and the
+guard charges the dilates it will walk before any of them.  The two routes
+agree exactly when the toric ring is normal; disagreements are surfaced,
+never masked.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from functools import lru_cache
 from operator import itemgetter
 
 from .errors import CostGuardError, VerificationError, shown
@@ -382,10 +380,8 @@ class _CycleWalk:
         for cyc in cycles:
             last = max(position[e] for e in cyc)
             self._closing[last].append(itemgetter(*(position[e] for e in cyc if position[e] != last)))
-        # an edge on no cycle is a bridge: the walk holds it at 0, read from
-        # the slot past the walked edges
+        # an edge on no cycle is a bridge, one factor of the count
         self._bridges = g.edge_count - len(order)
-        self._positions = [position.get(e, len(order)) for e in range(g.edge_count)]
 
     def in_lattice(self, z) -> bool:
         """True iff z lies in the column lattice; its last coordinate is free."""
@@ -399,13 +395,10 @@ class _CycleWalk:
                 return False
         return True
 
-    def count(self, m: int, decide=None, strict=False) -> int:
+    def count(self, m: int, strict=False) -> int:
         """Lattice points of [0,m]^E that `admits`, by a depth-first walk over
-        the cycle edges; the last one is counted, not walked.
-
-        Given `decide`, every point is walked instead, its bridges at 0, and
-        counted when `decide` accepts it (a tuple in edge order).  Either way
-        each bridge multiplies the count by m+1.
+        the cycle edges; the last one is counted, not walked.  Each bridge
+        multiplies the count by m+1.
 
         `strict` (for m >= 1) counts the points that meet every inequality
         strictly instead: each edge's values shrink to `_closing_values`
@@ -414,7 +407,7 @@ class _CycleWalk:
         """
         closing = self._closing
         last = len(closing) - 1
-        values = [0] * (len(closing) + 1)
+        values = [0] * len(closing)
         # the values of x_k depend on the sorted rest of each cycle closing at
         # k only, which repeats far more often than the rests themselves
         known = {}
@@ -427,22 +420,31 @@ class _CycleWalk:
             return found
 
         def walk(k):
-            if k == last and decide is None:
+            if k == last:
                 return len(options(k))
-            if k > last:
-                return 1 if decide is None else decide(tuple([values[p] for p in self._positions]))
             total = 0
             for v in options(k):
                 values[k] = v
                 total += walk(k + 1)
             return total
 
-        return (m - 1 if strict else m + 1) ** self._bridges * walk(0)
+        return (m - 1 if strict else m + 1) ** self._bridges * (walk(0) if closing else 1)
 
 
 # A K5 minor lies within one block, which then has at least 10 edges, all on
 # cycles; so a graph with at most this many edges on cycles has none
 K5_MINOR_FREE_EDGES = 9
+
+
+def _exact_cycle_edges(g) -> set[int]:
+    """g's edges on cycles; CostGuardError past K5_MINOR_FREE_EDGES, as only
+    without a K5 minor do the chordless-cycle inequalities cut out Cut(g)."""
+    on_cycles = cycle_edges(g)
+    if len(on_cycles) > K5_MINOR_FREE_EDGES:
+        raise CostGuardError(
+            f"lp route refused: {len(on_cycles)} edges on cycles, over the {K5_MINOR_FREE_EDGES} "
+            "up to which the chordless-cycle walk is exact (no K5 minor)")
+    return on_cycles
 
 
 def _bridges_zeroed(g, on_cycles, points) -> tuple[tuple[int, ...], ...]:
@@ -455,25 +457,26 @@ def _bridges_zeroed(g, on_cycles, points) -> tuple[tuple[int, ...], ...]:
     return tuple(dict.fromkeys(tuple(x if e in keep else 0 for e, x in enumerate(z)) for z in points))
 
 
-@lru_cache(maxsize=1)
+_last_route = (None, None)  # (configuration, its route), read and replaced as one pair
+
+
 def _lp_route(cfg):
-    """cfg's LP route, built once for all dilates: its walk, whether the walk
-    is exact, its edges on cycles, and its columns through `_bridges_zeroed`.
+    """cfg's LP route, built once for all dilates: its walk over every
+    chordless cycle, its edges on cycles and its columns through
+    `_bridges_zeroed`.  The last one is held for the same object, compared by
+    identity, which hashes none of its 2^(n-1) columns."""
+    global _last_route
+    held, route = _last_route
+    if held is not cfg:
+        g = cfg.graph
+        on_cycles = _exact_cycle_edges(g)
+        walk = _CycleWalk(g, _chordless_cycles(g))
+        route = walk, on_cycles, _bridges_zeroed(g, on_cycles, cfg.columns)
+        _last_route = cfg, route
+    return route
 
-    With at most K5_MINOR_FREE_EDGES edges on cycles the graph has no K5
-    minor, and the walk over every chordless cycle is exact: it counts a
-    dilate with no simplex call.  Any other graph walks its fundamental
-    cycles (the chordless ones would take 2^c XORs to find), and the simplex
-    decides each walked point.
-    """
-    g = cfg.graph
-    on_cycles = cycle_edges(g)
-    exact = len(on_cycles) <= K5_MINOR_FREE_EDGES
-    walk = _CycleWalk(g, _chordless_cycles(g) if exact else fundamental_cycles(g))
-    return walk, exact, on_cycles, _bridges_zeroed(g, on_cycles, cfg.columns)
 
-
-# Lattice points per dilate that the simplex re-decides on that path
+# Lattice points per dilate that the simplex re-decides
 SPOT_CHECKS = 16
 
 
@@ -496,16 +499,13 @@ def _spot_points(columns, m: int) -> list[tuple[int, ...]]:
 def count_lattice_points(cfg, m: int) -> int:
     """|m P' intersect ZA|: integer points of the dilate lying in the column lattice.
 
-    `_lp_route`'s walk counts them.  On an exact walk the phase-1 simplex
-    first re-decides `_spot_points`, and any disagreement raises
-    VerificationError; otherwise the simplex decides each walked point.  The
-    simplex reads the route's columns and points with every bridge at 0.
+    `_lp_route`'s walk counts them, once the phase-1 simplex has re-decided
+    `_spot_points`; any disagreement raises VerificationError.  The simplex
+    reads the route's columns and points with every bridge at 0.
     """
     if m < 0:
         raise ValueError("dilate must be nonnegative")
-    walk, exact, on_cycles, columns = _lp_route(cfg)
-    if not exact:
-        return walk.count(m, lambda z: _phase1(columns, z + (m,)))
+    walk, on_cycles, columns = _lp_route(cfg)
     for z in _bridges_zeroed(cfg.graph, on_cycles, _spot_points(columns, m)):
         if walk.admits(z, m) != _phase1(columns, z + (m,)):
             raise VerificationError(
@@ -523,20 +523,19 @@ LP_CANDIDATE_LIMIT = 1_000_000
 def check_lp_cost(cfg, max_dilate: int | None = None) -> tuple[int, int]:
     """The LP route's plan for dilates 0..M (default d+1): (A, B), to count
     the closed dilates 0..A and the interiors of 1..B.  B = floor(M/2) when
-    `_lp_route`'s walk is exact and M >= d, else 0; A = M - B.
+    M >= d, else 0; A = M - B.
 
-    The walk spans w edges per point: on an exact walk all c edges on cycles
-    but the last, which is counted, else all c.  Its boxes hold sum (m+1)^w
-    points over the closed dilates and sum (m-1)^w over the interiors, at
-    least ((A+1)^(w+1) + (B-1)^(w+1)) // (w+1), and CostGuardError is raised
-    when that bound exceeds LP_CANDIDATE_LIMIT.  Only the cycle edges are
-    read, so this decides before any work.
+    CostGuardError refuses more than K5_MINOR_FREE_EDGES edges on cycles,
+    and a walk whose boxes exceed LP_CANDIDATE_LIMIT points: with w = c - 1
+    of the c edges on cycles walked per point (the last is counted), they
+    hold sum (m+1)^w over the closed dilates and sum (m-1)^w over the
+    interiors, at least ((A+1)^(w+1) + (B-1)^(w+1)) // (w+1).  Only the
+    cycle edges are read, so this decides before any work.
     """
     M = cfg.dimension + 1 if max_dilate is None else max_dilate
-    c = len(cycle_edges(cfg.graph))
-    exact = c <= K5_MINOR_FREE_EDGES
-    B = M // 2 if exact and M >= cfg.dimension else 0
-    A, w = M - B, max(c - exact, 0)
+    c = len(_exact_cycle_edges(cfg.graph))
+    B = M // 2 if M >= cfg.dimension else 0
+    A, w = M - B, max(c - 1, 0)
     candidates = (max(A + 1, 0) ** (w + 1) + max(B - 1, 0) ** (w + 1)) // (w + 1)
     if candidates > LP_CANDIDATE_LIMIT:
         raise CostGuardError(

@@ -237,6 +237,21 @@ class TestHstar:
         assert out == ""
         assert "lp route refused: at least 1148871 box candidates" in err
 
+    def test_lp_route_refuses_a_possible_k5_minor(self, capsys, tmp_path):
+        # K_5 has 10 edges on cycles, past the 9 up to which the chordless
+        # cycles cut out the cut polytope: refused before either route runs
+        target = tmp_path / "k5.txt"
+        target.write_text("5\n" + "".join(f"{u} {v}\n" for u in range(1, 6)
+                                          for v in range(u + 1, 6)))
+        for method in ("lp", "both"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "hstar", "--edge-list", str(target),
+                                     "--method", method)
+            assert time.perf_counter() - start < 1, method
+            assert (code, out) == (EXIT_COST_GUARD, ""), method
+            assert err == ("cost guard: lp route refused: 10 edges on cycles, over the 9 up "
+                           "to which the chordless-cycle walk is exact (no K5 minor)\n"), method
+
     def test_counts_json_round_trip(self, capsys, tmp_path):
         counts_file = tmp_path / "counts.json"
         code, out, _ = run_cli(capsys, "--json", "hstar", "--cycle", "4",
@@ -450,6 +465,14 @@ class TestReportContract:
         assert code == EXIT_OK
         assert out == ""
         assert json.loads(target.read_text())["normalized_volume"]["value"] == 72
+
+    def test_out_file_that_cannot_be_written(self, capsys, tmp_path):
+        # a missing directory or a directory: a usage error, as for
+        # --counts-out, with nothing on stdout
+        for target in (tmp_path / "missing" / "report.json", tmp_path):
+            code, out, err = run_cli(capsys, "--out", str(target), "closed-form", "5")
+            assert (code, out) == (EXIT_PARSE, ""), target
+            assert err.startswith("error: ") and str(target) in err, target
 
     def test_streamed_json_equals_the_one_shot_encoding(self, capsys, tmp_path):
         # n = 7's basis encodes to more than one block of chunks

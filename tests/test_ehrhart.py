@@ -310,14 +310,16 @@ class TestLatticePointCounts:
         assert not built
 
     def test_cost_guard_plans(self):
-        # (A, B): B = floor(M/2) on an exact walk with M >= d, else 0; the
-        # 7- and 8-cycle-edge graphs now pass, K_5's non-exact walk at dilates
-        # 0..2 too
+        # (A, B): B = floor(M/2) with M >= d, else 0; the 7- and 8-cycle-edge
+        # graphs pass, and K_5's 10 edges on cycles are refused at any budget
         cases = ((cycle(7), None, (4, 4)), (cycle(8), None, (5, 4)),
                  (complete_bipartite(2, 4), None, (5, 4)), (cycle(4), 4, (2, 2)),
-                 (cycle(4), 3, (3, 0)), (K5, 2, (2, 0)), (path(3), -5, (-5, 0)))
+                 (cycle(4), 3, (3, 0)), (path(3), -5, (-5, 0)))
         for g, M, plan in cases:
             assert ehrhart.check_lp_cost(configuration(g), M) == plan, (g, M)
+        for M in (0, 2, None):
+            with pytest.raises(CostGuardError, match="10 edges on cycles, over the 9 "):
+                ehrhart.check_lp_cost(configuration(K5), M)
 
     def test_cost_guard_is_quick_on_a_huge_budget(self):
         # a single edge at dilates 0..10^12 is a bridge: one point per closed
@@ -387,25 +389,18 @@ class TestLatticeWalk:
     and the cycles' odd-F inequalities."""
 
     def test_walk_is_the_box_filtered_by_in_lattice(self):
-        # the walk over fundamental cycles that a graph of 10 or more edges
-        # takes: each point once, bridges at 0, and (m+1)^bridges times the
-        # walked points counted
+        # over any cycle family, here the fundamental cycles, the walk counts
+        # the box's lattice points that meet the family's inequalities, each
+        # bridge a factor m+1
         cases = [(g, 3) for g in (cycle(4), cycle(5), K4, complete_bipartite(2, 3))]
         cases.append((PETERSEN, 1))
         cases += [(g, 3) for g in _walk_graphs()]
         for g, top in cases:
             walk = ehrhart._CycleWalk(g, fundamental_cycles(g))
-            on_cycles = {e for cyc in fundamental_cycles(g) for e in cyc}
             for m in range(top + 1):
-                walked = []
-                counted = walk.count(m, decide=lambda z: walked.append(z) or True)
                 box = [z for z in itertools.product(range(m + 1), repeat=g.edge_count)
                        if walk.in_lattice(z) and walk.admits(z, m)]
-                assert counted == len(box), (g, m)
-                assert len(walked) == len(set(walked)), (g, m)
-                assert set(walked) == {z for z in box
-                                       if not any(z[e] for e in range(g.edge_count)
-                                                  if e not in on_cycles)}, (g, m)
+                assert walk.count(m) == len(box), (g, m)
 
 
 class TestCertificates:
@@ -481,32 +476,29 @@ class TestCertificates:
 
     def test_closed_form_count_matches_the_simplex_on_every_walked_point(self):
         # the chordless-cycle count, its last edge counted in closed form,
-        # against the same walk with the simplex deciding each point
+        # against the simplex deciding each lattice point of the box
         graphs = _walk_graphs() + [cycle(5), K4, complete_bipartite(2, 3),
                                    complete_bipartite(2, 4), PRISM, K5_MINUS_EDGE]
         for g in graphs:
             cfg = configuration(g)
             rule = ehrhart._CycleWalk(g, ehrhart._chordless_cycles(g))
-            for m in range(4):
-                decided = rule.count(m, lambda z: ehrhart._phase1(cfg.columns, z + (m,)))
-                assert rule.count(m) == decided, (g, m)
+            for m in range(3):
+                assert rule.count(m) == _plain_count(cfg, m), (g, m)
 
     def test_bridges_on_ten_or_more_edges(self, monkeypatch):
-        # a pendant edge, held at 0, multiplies the count by m+1.  K_{3,3}
-        # with one has 10 edges, 9 on cycles, so the chordless-cycle count
-        # takes it with spot checks only; K_5 with one has 10 on cycles, so
-        # the simplex decides each walked point
+        # a pendant edge multiplies the count by m+1.  K_{3,3} with one has
+        # 10 edges, 9 on cycles, so the chordless-cycle count takes it with
+        # spot checks only; K_5 with one has 10 on cycles and is refused
         calls = _count_simplex_calls(monkeypatch)
-        for g, on_cycles in ((Graph(7, list(complete_bipartite(3, 3).edges) + [(6, 7)]), 9),
-                             (Graph(6, list(K5.edges) + [(5, 6)]), 10)):
-            assert g.edge_count > ehrhart.K5_MINOR_FREE_EDGES
-            assert len(cycle_edges(g)) == on_cycles
-            cfg = configuration(g)
-            calls[0] = 0
-            counts = [count_lattice_points(cfg, m) for m in range(3)]
-            assert (calls[0] <= 3 * ehrhart.SPOT_CHECKS) == (on_cycles == 9), (g, calls[0])
-            assert counts == [_plain_count(cfg, m) for m in range(3)], g
-        assert counts == [1, 32, 408]
+        g = Graph(7, list(complete_bipartite(3, 3).edges) + [(6, 7)])
+        assert g.edge_count > ehrhart.K5_MINOR_FREE_EDGES == len(cycle_edges(g))
+        cfg = configuration(g)
+        counts = [count_lattice_points(cfg, m) for m in range(3)]
+        assert calls[0] <= 3 * ehrhart.SPOT_CHECKS
+        assert counts == [_plain_count(cfg, m) for m in range(3)]
+        k5_tail = Graph(6, list(K5.edges) + [(5, 6)])
+        with pytest.raises(CostGuardError, match="lp route refused: 10 edges on cycles"):
+            count_lattice_points(configuration(k5_tail), 1)
 
     def test_simplex_sees_bridges_at_zero(self, monkeypatch):
         # Cut(G) is the cut polytope on its cycle edges times [0,1] per
@@ -522,8 +514,7 @@ class TestCertificates:
             return phase1(columns, rhs)
 
         monkeypatch.setattr(ehrhart, "_phase1", logged)
-        cases = ((path(8), [(m + 1) ** 8 for m in range(3)]), (triangle_tail, plain),
-                 (Graph(6, list(K5.edges) + [(5, 6)]), [1, 32, 408]))
+        cases = ((path(8), [(m + 1) ** 8 for m in range(3)]), (triangle_tail, plain))
         for g, expected in cases:
             bridges = set(range(g.edge_count)) - cycle_edges(g)
             cfg = configuration(g)
@@ -548,7 +539,6 @@ class TestCertificates:
         # dilates of a configuration, not once per dilate
         found = []
         monkeypatch.setattr(ehrhart, "cycle_edges", lambda g: found.append(g) or cycle_edges(g))
-        ehrhart._lp_route.cache_clear()
         for g in (path(6), cycle(5)):
             cfg = configuration(g)
             counts = [count_lattice_points(cfg, m) for m in range(3)]
@@ -564,19 +554,23 @@ class TestCertificates:
                 count_lattice_points(cfg, m)
                 assert 1 <= calls[0] <= ehrhart.SPOT_CHECKS, (g, m, calls[0])
 
-    def test_k5_takes_the_simplex(self, monkeypatch):
+    def test_k5_is_refused(self, monkeypatch):
         # 10 edges: the chordless cycles are the triangles, and all twos at
         # dilate 3 meets every triangle inequality, but its sum 20 exceeds 3
-        # times the maximum cut of 6 edges
+        # times the maximum cut of 6 edges.  So the walk would overcount, and
+        # the route is refused before it is built
         cfg = configuration(K5)
         twos = (2,) * K5.edge_count
         assert ehrhart._CycleWalk(K5, ehrhart._chordless_cycles(K5)).admits(twos, 3)
         assert not ehrhart._phase1(cfg.columns, twos + (3,))
-        plain = [_plain_count(cfg, m) for m in range(3)]
         calls = _count_simplex_calls(monkeypatch)
-        assert [count_lattice_points(cfg, m) for m in range(3)] == plain
-        # more calls than three spot checks make: each point met the simplex
-        assert calls[0] > 3 * ehrhart.SPOT_CHECKS
+        for m in range(3):
+            with pytest.raises(CostGuardError) as exc:
+                count_lattice_points(cfg, m)
+            assert str(exc.value) == (
+                "lp route refused: 10 edges on cycles, over the 9 up to which the "
+                "chordless-cycle walk is exact (no K5 minor)")
+        assert calls[0] == 0
 
 
 class TestReciprocity:
@@ -632,9 +626,9 @@ class TestReciprocity:
         walked = []
         count = ehrhart._CycleWalk.count
 
-        def logged(self, m, decide=None, strict=False):
+        def logged(self, m, strict=False):
             walked.append((m, strict))
-            return count(self, m, decide, strict)
+            return count(self, m, strict)
 
         monkeypatch.setattr(ehrhart._CycleWalk, "count", logged)
         for M, closed, interior in ((5, 3, 2), (6, 3, 3), (9, 5, 4)):
@@ -644,25 +638,24 @@ class TestReciprocity:
             assert walked == [(m, False) for m in range(closed + 1)] + \
                 [(m, True) for m in range(1, interior + 1)], M
 
-    def test_a_non_exact_plan_counts_every_dilate(self, monkeypatch):
-        # K_5 has 10 edges on cycles, so its walk is not exact: the plan at
-        # budget 2 is closed dilates 0..2, the simplex deciding each walked
-        # point, and no interior.  Three counts cannot fix a polynomial of
-        # degree 10, so they are refused once counted
+    def test_a_budget_below_d_counts_every_dilate(self, monkeypatch):
+        # C_4 (d = 4) at budget 3: the plan is closed dilates 0..3 and no
+        # interior.  Four counts cannot fix a polynomial of degree 4, so they
+        # are refused once counted
         walked = []
         count = ehrhart._CycleWalk.count
 
-        def logged(self, m, decide=None, strict=False):
-            walked.append((m, decide is not None, strict, count(self, m, decide, strict)))
+        def logged(self, m, strict=False):
+            walked.append((m, strict, count(self, m, strict)))
             return walked[-1][-1]
 
         monkeypatch.setattr(ehrhart._CycleWalk, "count", logged)
-        cfg = configuration(K5)
-        assert ehrhart.check_lp_cost(cfg, 2) == (2, 0)
-        with pytest.raises(ValueError, match="need counts through dilate 10, have 2"):
-            lattice_point_counts(cfg, 2)
-        assert walked == [(m, True, False, c) for m, c in enumerate((1, 16, 136))]
-        assert ehrhart._semigroup_layer_sizes(cfg.columns, 2) == [1, 16, 136]
+        cfg = configuration(cycle(4))
+        assert ehrhart.check_lp_cost(cfg, 3) == (3, 0)
+        with pytest.raises(ValueError, match="need counts through dilate 4, have 3"):
+            lattice_point_counts(cfg, 3)
+        counts = ehrhart._semigroup_layer_sizes(cfg.columns, 3)
+        assert walked == [(m, False, c) for m, c in enumerate(counts)]
 
     def test_one_walk_per_configuration(self, monkeypatch):
         # the closed dilates and the interiors share the route's one walk
@@ -674,10 +667,20 @@ class TestReciprocity:
             init(self, g, cycles)
 
         monkeypatch.setattr(ehrhart._CycleWalk, "__init__", logged)
-        ehrhart._lp_route.cache_clear()
         for g, M in ((cycle(5), None), (K4, None), (cycle(5), 9)):
             lattice_point_counts(configuration(g), M)
         assert built == [cycle(5), K4, cycle(5)]
+
+    def test_route_held_by_identity(self, monkeypatch):
+        # the last route is held for the configuration object it was built
+        # for, never hashing it (all 2^(n-1) columns); an equal configuration
+        # gets a route of its own
+        cfg, other = configuration(cycle(5)), configuration(cycle(5))
+        monkeypatch.setattr(type(cfg), "__hash__", lambda self: pytest.fail("hashed"))
+        route = ehrhart._lp_route(cfg)
+        assert lattice_point_counts(cfg) == semigroup_counts(cfg)
+        assert ehrhart._lp_route(cfg) is route
+        assert other == cfg and ehrhart._lp_route(other) is not route
 
     def test_a_count_off_by_one_is_refused(self, monkeypatch):
         # one interior or closed count one too high, at each walked dilate in
@@ -688,8 +691,8 @@ class TestReciprocity:
             M = cfg.dimension + 1
             for wrong in [(m, True) for m in range(1, M // 2 + 1)] + \
                     [(m, False) for m in range((M + 1) // 2 + 1)]:
-                def off(self, m, decide=None, strict=False, wrong=wrong):
-                    return count(self, m, decide, strict) + ((m, strict) == wrong)
+                def off(self, m, strict=False, wrong=wrong):
+                    return count(self, m, strict) + ((m, strict) == wrong)
 
                 monkeypatch.setattr(ehrhart._CycleWalk, "count", off)
                 with pytest.raises(VerificationError, match="breaks Ehrhart reciprocity"):
