@@ -1,10 +1,10 @@
 """Batch command-line front end: vertices, hstar, closed-form, and gb pipelines.
 
-Exit codes: 0 success, 2 parse/usage error, 3 cost guard, 4 verification
-failure (disagreement between computation routes).  Reports carry a route tag
-("semigroup", "lp", "closed-form", "gb-f-vector") on every numeric claim and
-are byte-stable for fixed inputs and flags; timing is serialized only under
---timing.  Building the parser imports only the errors module; each command
+Exit codes: 0 success, 2 parse/usage error or a report or counts file that
+cannot be written, 3 cost guard, 4 verification failure (routes disagree).
+Reports carry a route tag ("semigroup", "lp", "closed-form", "gb-f-vector") on
+every numeric claim and are byte-stable for fixed inputs and flags; timing is
+serialized only under --timing.  Building the parser imports only the errors module; each command
 imports the modules of its route, and of the graph, when it runs.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -62,25 +63,26 @@ def _write_report(fh, report: dict, as_json: bool) -> None:
         fh.write(block)
     if as_json:
         fh.write("\n")
+    fh.flush()
+
+
+def _refuse_unwritable(path) -> None:
+    """Refuse before any work a directory, or a file (if it exists, else its
+    directory) that os.access denies writing; opening nothing, it truncates nothing."""
+    if path and (os.path.isdir(path) or not os.access(
+            path if os.path.exists(path) else os.path.dirname(path) or ".", os.W_OK)):
+        raise OSError(f"cannot write {path}")
 
 
 def _graph_from_args(args) -> tuple[Graph, dict]:
     from .graph import complete_bipartite, cycle, path, read_edge_list
-    picked = [name for name in ("cycle", "path", "kbipartite", "edge_list")
-              if getattr(args, name) is not None]
-    if len(picked) != 1:
-        raise argparse.ArgumentTypeError(
-            "choose exactly one of --cycle, --path, --kbipartite, --edge-list")
     if args.cycle is not None:
-        g = cycle(args.cycle)
-        descriptor = {"kind": "cycle"}
+        g, descriptor = cycle(args.cycle), {"kind": "cycle"}
     elif args.path is not None:
-        g = path(args.path)
-        descriptor = {"kind": "path"}
+        g, descriptor = path(args.path), {"kind": "path"}
     elif args.kbipartite is not None:
-        p, q = args.kbipartite
-        g = complete_bipartite(p, q)
-        descriptor = {"kind": "complete_bipartite", "parts": [p, q]}
+        g = complete_bipartite(*args.kbipartite)
+        descriptor = {"kind": "complete_bipartite", "parts": args.kbipartite}
     else:
         g = read_edge_list(args.edge_list)
         descriptor = {"kind": "edge_list", "file": args.edge_list}
@@ -118,20 +120,12 @@ def cmd_hstar(args) -> dict:
     from . import ehrhart
     from .graph import configuration
     if args.from_counts is not None:
-        for name in ("cycle", "path", "kbipartite", "edge_list"):
-            if getattr(args, name) is not None:
-                raise argparse.ArgumentTypeError(
-                    "--from-counts replaces the graph; drop the graph flags")
-        if args.counts_out is not None or args.max_dilate is not None:
+        if (args.method, args.counts_out, args.max_dilate) != (None, None, None):
             raise argparse.ArgumentTypeError(
-                "--from-counts reads the counts; drop --counts-out and --max-dilate")
-        if args.method is not None:
-            raise argparse.ArgumentTypeError(
-                "--from-counts reads the counts; drop --method")
+                "--from-counts reads the counts; drop --method, --counts-out and --max-dilate")
         with open(args.from_counts, "r", encoding="utf-8") as fh:
             cs = ehrhart.CountSequence.from_json(fh.read())
-        h = ehrhart.hstar_from_counts(cs)
-        entry = _poly_entry(h, "counts-file")
+        entry = _poly_entry(ehrhart.hstar_from_counts(cs), "counts-file")
         entry["counts"] = list(cs.counts)
         return {
             "command": "hstar",
@@ -140,35 +134,31 @@ def cmd_hstar(args) -> dict:
             "dimension": cs.dimension,
             "results": {"counts-file": entry},
         }
+    _refuse_unwritable(args.counts_out)
     g, descriptor = _graph_from_args(args)
     cfg = configuration(g)
     method = args.method or "semigroup"
-    # "command" is added on return: a disagreement prints the report without it
-    data = {"graph": descriptor, "method": method, "dimension": cfg.dimension}
+    report = {"command": "hstar", "graph": descriptor, "method": method, "dimension": cfg.dimension}
     routes = ("semigroup", "lp") if method == "both" else (method,)
     if method == "both":
         # refuse the lp budget before the semigroup route does its work
         ehrhart.check_lp_cost(cfg, args.max_dilate)
-    results = {}
-    sequences = {}
+    results = report["results"] = {}
     for route in routes:
         h, cs = ehrhart.hstar_polynomial(cfg, route, args.max_dilate)
-        results[route] = _poly_entry(h, route)
-        results[route]["counts"] = list(cs.counts)
-        sequences[route] = cs
-    data["results"] = results
+        results[route] = _poly_entry(h, route) | {"counts": list(cs.counts)}
     if method == "both":
         agree = results["semigroup"]["coefficients"] == results["lp"]["coefficients"]
-        data["agreement"] = "PASS" if agree else "FAIL"
+        report["agreement"] = "PASS" if agree else "FAIL"
         if not agree:
-            import json
             raise VerificationError("semigroup and lp routes disagree:\n" +
-                                    json.dumps(data, indent=2))
+                                    "".join(_text_chunks(report)))
     if args.counts_out is not None:
+        # routes that agree on h* agree on every count: the last route's cs serves
         with open(args.counts_out, "w", encoding="utf-8") as fh:
-            fh.write(sequences[routes[0]].to_json() + "\n")
-        data["counts_out"] = args.counts_out
-    return {"command": "hstar", **data}
+            fh.write(cs.to_json() + "\n")
+        report["counts_out"] = args.counts_out
+    return report
 
 
 def _refuse_unprintable(n: int, largest: int | None = None) -> None:
@@ -230,35 +220,35 @@ def cmd_gb(args) -> dict:
         report["f_vector"] = {"route": "gb-f-vector", "values": f}
         report["h_polynomial"] = _poly_entry(h, "gb-f-vector")
         return report
-    if args.action == "compare":
-        from . import ehrhart
-        from .graph import complete_bipartite, configuration
-        cfg = configuration(complete_bipartite(2, n - 2))
-        f = grobner.f_vector(n)
-        h_gb = f_to_h(f, 2 * n - 4)
-        h_closed = hstar_closed_form_k2m(n)
-        h_ehrhart, _ = ehrhart.hstar_polynomial(cfg, "semigroup")
-        report["results"] = {
-            "gb-f-vector": _poly_entry(h_gb, "gb-f-vector"),
-            "closed-form": _poly_entry(h_closed, "closed-form"),
-            "semigroup": _poly_entry(h_ehrhart, "semigroup"),
-        }
-        agree = h_gb == h_closed == h_ehrhart
-        report["agreement"] = "PASS" if agree else "FAIL"
-        if not agree:
-            raise VerificationError("three-way h* comparison failed:\n" +
-                                    "".join(_text_chunks(report)))
-        return report
-    raise argparse.ArgumentTypeError(f"unknown gb action {args.action!r}")
+    from . import ehrhart
+    from .graph import complete_bipartite, configuration
+    cfg = configuration(complete_bipartite(2, n - 2))
+    f = grobner.f_vector(n)
+    h_gb = f_to_h(f, 2 * n - 4)
+    h_closed = hstar_closed_form_k2m(n)
+    h_ehrhart, _ = ehrhart.hstar_polynomial(cfg, "semigroup")
+    report["results"] = {
+        "gb-f-vector": _poly_entry(h_gb, "gb-f-vector"),
+        "closed-form": _poly_entry(h_closed, "closed-form"),
+        "semigroup": _poly_entry(h_ehrhart, "semigroup"),
+    }
+    agree = h_gb == h_closed == h_ehrhart
+    report["agreement"] = "PASS" if agree else "FAIL"
+    if not agree:
+        raise VerificationError("three-way h* comparison failed:\n" + "".join(_text_chunks(report)))
+    return report
 
 
 def _add_graph_flags(parser):
-    parser.add_argument("--cycle", type=ascii_int, metavar="N", help="cycle on N vertices")
-    parser.add_argument("--path", type=ascii_int, metavar="E", help="path with E edges")
-    parser.add_argument("--kbipartite", type=ascii_int, nargs=2, metavar=("P", "Q"),
-                        help="complete bipartite graph K_{P,Q}")
-    parser.add_argument("--edge-list", metavar="FILE",
-                        help="plain edge-list file: first line m, then 'u v' lines")
+    """The graph flags, as one required mutually exclusive group (returned)."""
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--cycle", type=ascii_int, metavar="N", help="cycle on N vertices")
+    group.add_argument("--path", type=ascii_int, metavar="E", help="path with E edges")
+    group.add_argument("--kbipartite", type=ascii_int, nargs=2, metavar=("P", "Q"),
+                       help="complete bipartite graph K_{P,Q}")
+    group.add_argument("--edge-list", metavar="FILE",
+                       help="plain edge-list file: first line m, then 'u v' lines")
+    return group
 
 
 def _add_output_flags(parser):
@@ -287,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_vertices.set_defaults(handler=cmd_vertices)
 
     p_hstar = sub.add_parser("hstar", help="h*-polynomial via dilate counting")
-    _add_graph_flags(p_hstar)
+    _add_graph_flags(p_hstar).add_argument(
+        "--from-counts", metavar="FILE",
+        help="skip counting; read a count-sequence JSON file instead")
     _add_output_flags(p_hstar)
     p_hstar.add_argument("--method", choices=("semigroup", "lp", "both"), default=None,
                          help="counting route (default: semigroup)")
@@ -295,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="dilate budget (default: dimension + 1)")
     p_hstar.add_argument("--counts-out", metavar="FILE", default=None,
                          help="write the dilate-count sequence as JSON to FILE")
-    p_hstar.add_argument("--from-counts", metavar="FILE", default=None,
-                         help="skip counting; read a count-sequence JSON file instead")
     p_hstar.set_defaults(handler=cmd_hstar)
 
     p_closed = sub.add_parser("closed-form",
@@ -321,12 +311,21 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     started = time.perf_counter()
     try:
+        _refuse_unwritable(args.out)
         report = args.handler(args)
         if args.timing:
             report["timing_s"] = round(time.perf_counter() - started, 3)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 _write_report(fh, report, args.json)
+        else:
+            try:
+                _write_report(sys.stdout, report, args.json)
+            except OSError:
+                # the failed flush keeps the report buffered: point stdout at
+                # devnull so that the interpreter's flush at exit succeeds
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise
     except (argparse.ArgumentTypeError, EdgeListParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -336,8 +335,6 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    if not args.out:
-        _write_report(sys.stdout, report, args.json)
     return EXIT_OK
 
 

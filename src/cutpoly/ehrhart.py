@@ -523,7 +523,7 @@ LP_CANDIDATE_LIMIT = 1_000_000
 def check_lp_cost(cfg, max_dilate: int | None = None) -> tuple[int, int]:
     """The LP route's plan for dilates 0..M (default d+1): (A, B), to count
     the closed dilates 0..A and the interiors of 1..B.  B = floor(M/2) when
-    M >= d, else 0; A = M - B.
+    M >= d, else 0; A = M - B.  ValueError refuses M < 0.
 
     CostGuardError refuses more than K5_MINOR_FREE_EDGES edges on cycles,
     and a walk whose boxes exceed LP_CANDIDATE_LIMIT points: with w = c - 1
@@ -533,10 +533,12 @@ def check_lp_cost(cfg, max_dilate: int | None = None) -> tuple[int, int]:
     cycle edges are read, so this decides before any work.
     """
     M = cfg.dimension + 1 if max_dilate is None else max_dilate
+    if M < 0:
+        raise ValueError("dilate must be nonnegative")
     c = len(_exact_cycle_edges(cfg.graph))
     B = M // 2 if M >= cfg.dimension else 0
     A, w = M - B, max(c - 1, 0)
-    candidates = (max(A + 1, 0) ** (w + 1) + max(B - 1, 0) ** (w + 1)) // (w + 1)
+    candidates = ((A + 1) ** (w + 1) + max(B - 1, 0) ** (w + 1)) // (w + 1)
     if candidates > LP_CANDIDATE_LIMIT:
         raise CostGuardError(
             f"lp route refused: at least {shown(candidates)} box candidates on {w} walked edges "
@@ -624,11 +626,11 @@ def hstar_polynomial(cfg, method: str = "semigroup",
     """Full pipeline: dilate counts by the requested route, then the h*-polynomial.
 
     The dilate budget defaults to d+1 (the minimum d plus one vanish check);
-    an explicit smaller budget is refused with the required count.
+    a smaller one is refused with the required count, a negative one (ValueError) by the route.
     """
     needed = cfg.dimension + 1
     M = needed if max_dilate is None else max_dilate
-    if M < needed:
+    if 0 <= M < needed:
         raise CostGuardError(f"dilate budget {M} too small: need counts through dilate {needed}")
     if method == "semigroup":
         cs = semigroup_counts(cfg, M)

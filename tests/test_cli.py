@@ -1,14 +1,23 @@
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
-from cutpoly import ehrhart
+import pytest
+
+from cutpoly import cli, ehrhart, grobner
 from cutpoly.cli import (
     EXIT_COST_GUARD,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_VERIFICATION,
     main,
 )
+from cutpoly.polynomial import IntPolynomial
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +48,19 @@ def text_by_lines(payload) -> str:
     return "\n".join(lines) + "\n"
 
 
+def skew_route(monkeypatch, skewed):
+    """Make ehrhart.hstar_polynomial answer one more in h*'s top coefficient
+    on route `skewed`, so the routes compared with it disagree."""
+    real = ehrhart.hstar_polynomial
+
+    def fake(cfg, method="semigroup", max_dilate=None):
+        h, cs = real(cfg, method, max_dilate)
+        if method == skewed:
+            h = IntPolynomial(list(h.coeffs[:-1]) + [h.coeffs[-1] + 1])
+        return h, cs
+    monkeypatch.setattr(ehrhart, "hstar_polynomial", fake)
+
+
 class TestVertices:
     def test_cycle4_lists_eight_rows(self, capsys):
         code, out, _ = run_cli(capsys, "vertices", "--cycle", "4")
@@ -61,10 +83,13 @@ class TestVertices:
         assert all(col[-1] == 1 for col in payload["configuration_columns"])
 
     def test_requires_exactly_one_graph(self, capsys):
+        # argparse reports both misuses, each after a usage line
         code, _, err = run_cli(capsys, "vertices")
         assert code == EXIT_PARSE
+        assert err.startswith("usage: ") and "--edge-list is required" in err
         code, _, err = run_cli(capsys, "vertices", "--cycle", "4", "--path", "2")
         assert code == EXIT_PARSE
+        assert err.startswith("usage: ") and "--path: not allowed with argument --cycle" in err
 
     def test_bad_edge_list_reports_line(self, capsys, tmp_path):
         target = tmp_path / "bad.txt"
@@ -270,9 +295,13 @@ class TestHstar:
     def test_from_counts_excludes_graph_flags(self, capsys, tmp_path):
         counts_file = tmp_path / "counts.json"
         counts_file.write_text('{"dimension": 1, "counts": [1, 2, 3]}')
-        code, _, _ = run_cli(capsys, "hstar", "--cycle", "4",
-                             "--from-counts", str(counts_file))
+        code, _, err = run_cli(capsys, "hstar", "--cycle", "4",
+                               "--from-counts", str(counts_file))
         assert code == EXIT_PARSE
+        assert "--from-counts: not allowed with argument --cycle" in err
+        code, _, err = run_cli(capsys, "hstar")
+        assert code == EXIT_PARSE
+        assert "--edge-list --from-counts is required" in err
 
     def test_from_counts_excludes_counting_flags(self, capsys, tmp_path):
         counts_file = tmp_path / "counts.json"
@@ -282,7 +311,7 @@ class TestHstar:
                       ["--counts-out", str(target), "--max-dilate", "2"]):
             code, out, err = run_cli(capsys, "hstar", "--from-counts", str(counts_file), *extra)
             assert code == EXIT_PARSE, extra
-            assert out == "" and "drop --counts-out and --max-dilate" in err
+            assert out == "" and "drop --method, --counts-out and --max-dilate" in err
         assert not target.exists()
 
     def test_from_counts_refuses_method(self, capsys, tmp_path):
@@ -295,6 +324,39 @@ class TestHstar:
                                      "--method", method)
             assert code == EXIT_PARSE, method
             assert out == "" and "drop --method" in err
+
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        # every route refuses it before any work, --method both too
+        for method in ("semigroup", "lp", "both"):
+            code, out, err = run_cli(capsys, "hstar", "--path", "3", "--method", method,
+                                     "--max-dilate", "-5")
+            assert (code, out) == (EXIT_PARSE, ""), method
+            assert err == "error: dilate must be nonnegative\n", method
+
+    def test_counts_out_that_cannot_be_written(self, capsys, tmp_path, monkeypatch):
+        # refused before the graph is counted: a missing directory or a directory
+        def count(*args):
+            pytest.fail("counted")
+        monkeypatch.setattr(ehrhart, "hstar_polynomial", count)
+        for target in (tmp_path / "missing" / "counts.json", tmp_path):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "hstar", "--cycle", "4",
+                                     "--counts-out", str(target))
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (EXIT_PARSE, ""), target
+            assert err == f"error: cannot write {target}\n", target
+
+    def test_disagreeing_routes(self, capsys, monkeypatch):
+        # the disagreement is the report's text lines on stderr, in either
+        # output mode, and nothing on stdout
+        skew_route(monkeypatch, "lp")
+        for flags in ((), ("--json",)):
+            code, out, err = run_cli(capsys, *flags, "hstar", "--cycle", "4", "--method", "both")
+            assert (code, out) == (EXIT_VERIFICATION, ""), flags
+            assert err.startswith("verification failure: semigroup and lp routes disagree:\n"
+                                  "command: hstar\n"), flags
+            assert "\nagreement: FAIL\n" in err, flags
+            assert "\nresults.lp.coefficients: 1 3 3 2\n" in err, flags
 
     def test_from_counts_malformed_file(self, capsys, tmp_path):
         counts_file = tmp_path / "bad.json"
@@ -365,6 +427,29 @@ class TestGb:
         code, out, _ = run_cli(capsys, "gb", "6", "compare")
         assert code == EXIT_OK
         assert "agreement: PASS" in out
+
+    def test_failed_verify(self, capsys, monkeypatch):
+        real = grobner.buchberger_check
+
+        def failing(n):
+            ok, certificate = real(n)
+            return False, {**certificate, "failures": ["a made-up failure"]}
+        monkeypatch.setattr(grobner, "buchberger_check", failing)
+        for flags in ((), ("--json",)):
+            code, out, err = run_cli(capsys, *flags, "gb", "4", "verify")
+            assert (code, out) == (EXIT_VERIFICATION, ""), flags
+            assert err.startswith("verification failure: Buchberger check failed:\n"), flags
+            assert "\nverdict: FAIL\n" in err, flags
+            assert "\ncertificate.failures: a made-up failure\n" in err, flags
+
+    def test_failed_compare(self, capsys, monkeypatch):
+        skew_route(monkeypatch, "semigroup")
+        for flags in ((), ("--json",)):
+            code, out, err = run_cli(capsys, *flags, "gb", "5", "compare")
+            assert (code, out) == (EXIT_VERIFICATION, ""), flags
+            assert err.startswith("verification failure: three-way h* comparison failed:\n"), flags
+            assert "\nagreement: FAIL\n" in err, flags
+            assert "\nresults.semigroup.coefficients: 1 9 26 26 9 2\n" in err, flags
 
     def test_compare_cost_guard(self, capsys):
         # no cap of its own: the semigroup route's guard refuses K_{2,5}
@@ -466,13 +551,55 @@ class TestReportContract:
         assert out == ""
         assert json.loads(target.read_text())["normalized_volume"]["value"] == 72
 
-    def test_out_file_that_cannot_be_written(self, capsys, tmp_path):
+    def test_out_file_that_cannot_be_written(self, capsys, tmp_path, monkeypatch):
         # a missing directory or a directory: a usage error, as for
-        # --counts-out, with nothing on stdout
+        # --counts-out, refused before the report is computed
+        def compute(args):
+            pytest.fail("computed")
+        monkeypatch.setattr(cli, "cmd_closed_form", compute)
         for target in (tmp_path / "missing" / "report.json", tmp_path):
+            start = time.perf_counter()
             code, out, err = run_cli(capsys, "--out", str(target), "closed-form", "5")
+            assert time.perf_counter() - start < 1
             assert (code, out) == (EXIT_PARSE, ""), target
-            assert err.startswith("error: ") and str(target) in err, target
+            assert err == f"error: cannot write {target}\n", target
+
+    def test_failed_run_keeps_an_existing_report(self, capsys, tmp_path):
+        # --out is not opened until the report is done: a refusal truncates nothing
+        target = tmp_path / "report.txt"
+        target.write_text("an earlier report\n")
+        code, out, _ = run_cli(capsys, "--out", str(target), "hstar", "--kbipartite", "10", "10")
+        assert (code, out) == (EXIT_COST_GUARD, "")
+        assert target.read_text() == "an earlier report\n"
+
+    @pytest.mark.parametrize("argv", [["closed-form", "5"], ["gb", "4", "verify"],
+                                      ["gb", "7", "list", "--json"]])
+    @pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+    def test_stdout_that_cannot_be_written(self, argv, sink):
+        # a reader that went away or a full device: one error line, exit 2,
+        # whether the report fits in stdout's buffer or not
+        if sink == "closed pipe":
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        elif os.path.exists(sink):
+            stdout = os.open(sink, os.O_WRONLY)
+        else:
+            pytest.skip(f"no {sink}")
+        # block-buffered stdout, as from a shell, and unbuffered
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        runs = []
+        try:
+            for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+                runs.append(subprocess.run(
+                    [sys.executable, "-m", "cutpoly.cli", *argv], stdout=stdout,
+                    stderr=subprocess.PIPE, text=True,
+                    env={**env, **unbuffered, "PYTHONPATH": str(SRC)}))
+        finally:
+            os.close(stdout)
+        for run in runs:
+            assert run.returncode == EXIT_PARSE, run.stderr
+            assert run.stderr.startswith("error: [Errno ") and run.stderr.count("\n") == 1, \
+                run.stderr
 
     def test_streamed_json_equals_the_one_shot_encoding(self, capsys, tmp_path):
         # n = 7's basis encodes to more than one block of chunks

@@ -311,12 +311,16 @@ class TestLatticePointCounts:
 
     def test_cost_guard_plans(self):
         # (A, B): B = floor(M/2) with M >= d, else 0; the 7- and 8-cycle-edge
-        # graphs pass, and K_5's 10 edges on cycles are refused at any budget
+        # graphs pass, K_5's 10 edges on cycles are refused at any budget, and
+        # a negative budget is no plan at all
         cases = ((cycle(7), None, (4, 4)), (cycle(8), None, (5, 4)),
                  (complete_bipartite(2, 4), None, (5, 4)), (cycle(4), 4, (2, 2)),
-                 (cycle(4), 3, (3, 0)), (path(3), -5, (-5, 0)))
+                 (cycle(4), 3, (3, 0)))
         for g, M, plan in cases:
             assert ehrhart.check_lp_cost(configuration(g), M) == plan, (g, M)
+        for call in (ehrhart.check_lp_cost, lattice_point_counts):
+            with pytest.raises(ValueError, match="dilate must be nonnegative"):
+                call(configuration(path(3)), -5)
         for M in (0, 2, None):
             with pytest.raises(CostGuardError, match="10 edges on cycles, over the 9 "):
                 ehrhart.check_lp_cost(configuration(K5), M)
@@ -760,6 +764,12 @@ class TestPipeline:
         with pytest.raises(CostGuardError) as exc:
             hstar_polynomial(c4_config, max_dilate=3)
         assert "5" in str(exc.value)
+
+    def test_negative_budget_is_a_value_error(self, c4_config):
+        # a budget below 0 names no dilate to count: not a cost refusal
+        for method in ("semigroup", "lp"):
+            with pytest.raises(ValueError, match="dilate must be nonnegative"):
+                hstar_polynomial(c4_config, method, -5)
 
     def test_unknown_method(self, c4_config):
         with pytest.raises(ValueError):
