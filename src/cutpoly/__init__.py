@@ -15,7 +15,7 @@ _EXPORTS = {
               "cut_polytope_vertices", "cut_vector", "cycle", "path"),
     "lattice": ("LatticeBasis", "lattice_basis", "polytope_dimension"),
     "ehrhart": ("CountSequence", "count_lattice_points", "hstar_from_counts",
-                "hstar_polynomial", "membership_in_dilate", "semigroup_counts"),
+                "hstar_polynomial", "semigroup_counts"),
     "polynomial": ("IntPolynomial", "eulerian", "f_to_h",
                    "hstar_closed_form_k2m", "is_palindromic", "is_unimodal", "stirling2"),
     "grobner": ("CutBinomial", "PartitionMonomial", "buchberger_check",

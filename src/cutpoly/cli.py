@@ -16,7 +16,8 @@ import os
 import sys
 import time
 
-from .errors import CostGuardError, EdgeListParseError, VerificationError, ascii_int
+from .errors import (CostGuardError, EdgeListParseError, VerificationError, ascii_int,
+                     int_digit_limit)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -163,12 +164,12 @@ def cmd_hstar(args) -> dict:
 
 def _refuse_unprintable(n: int, largest: int | None = None) -> None:
     """Refuse a report on K_{2,n-2} that would print an integer of more digits
-    than Python converts to text (sys.get_int_max_str_digits(), 0 for none):
-    `largest`, or by default the normalized volume 2((n-2)!)^2, read off lgamma."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    than Python converts to text (`int_digit_limit`): `largest`, or by
+    default the normalized volume 2((n-2)!)^2, read off lgamma."""
+    limit = int_digit_limit()
     digits = 1 + math.floor(math.log10(largest) if largest else
                             (math.log(2) + 2 * math.lgamma(n - 1)) / math.log(10))
-    if limit and digits > limit:
+    if digits > limit:
         raise CostGuardError(f"report refused for n = {n}: a {digits}-digit integer to "
                              f"print, limit {limit} digits (sys.get_int_max_str_digits)")
 

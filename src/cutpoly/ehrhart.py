@@ -12,10 +12,10 @@ rational phase-1 simplex re-decides a few points per dilate, and any
 disagreement raises.  Any other graph is refused.  Only about half the
 dilates and as many interiors are walked; by Ehrhart-Macdonald reciprocity
 they fix the Ehrhart polynomial, every spare count is checked against it, and
-the rest are read off it.  The walk is built once per configuration, and the
-guard charges the dilates it will walk before any of them.  The two routes
-agree exactly when the toric ring is normal; disagreements are surfaced,
-never masked.
+the rest are read off it.  The route is a function of the graph, cached on
+it, and the guard charges the dilates it will walk before any of them.  The
+two routes agree exactly when the toric ring is normal; disagreements are
+surfaced, never masked.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from functools import lru_cache
 from operator import itemgetter
 
 from .errors import CostGuardError, VerificationError, shown
@@ -230,42 +231,14 @@ def _phase1(columns, rhs) -> bool:
             raise VerificationError("phase-1 objective unbounded; tableau corrupted")
         pivot_row = rows[leave]
         pivot = pivot_row[entering]
-        for i in range(nrows + 1):
-            if i == leave:
-                continue
-            row = rows[i]
-            factor = row[entering]
-            if factor:
-                rows[i] = [(pivot * a - factor * b) // den
-                           for a, b in zip(row, pivot_row)]
-            elif den != 1:
-                rows[i] = [(pivot * a) // den for a in row]
-            elif pivot != 1:
-                rows[i] = [pivot * a for a in row]
+        for i, row in enumerate(rows):
+            if i != leave:
+                factor = row[entering]
+                rows[i] = [(pivot * a - factor * b) // den for a, b in zip(row, pivot_row)]
         den = pivot
         basis[leave] = entering
         if rows[nrows][ncols] == 0:
             return True
-
-
-def membership_in_dilate(point, cfg, m: int) -> bool:
-    """True iff `point` is a nonnegative rational combination of columns summing to m.
-
-    `point` must have length r+1 and last coordinate m (the homogenizing row of
-    the configuration already encodes the combination-weight constraint).
-    """
-    columns = cfg.columns
-    point = tuple(point)
-    for x in point:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"coordinates must be integers, got {x!r}")
-    if len(point) != len(columns[0]):
-        raise ValueError(f"point length {len(point)} != configuration row count {len(columns[0])}")
-    if m < 0:
-        raise ValueError("dilate must be nonnegative")
-    if point[-1] != m:
-        raise ValueError(f"last coordinate {point[-1]} must equal the dilate {m}")
-    return _phase1(columns, point)
 
 
 def _closing_range(rest, m: int) -> tuple[int, int]:
@@ -447,33 +420,20 @@ def _exact_cycle_edges(g) -> set[int]:
     return on_cycles
 
 
-def _bridges_zeroed(g, on_cycles, points) -> tuple[tuple[int, ...], ...]:
-    """`points` with every coordinate of g's bridges (the edges off `on_cycles`)
-    set to 0, deduplicated in order; a column's last coordinate is kept.
-    Cut(G) is the cut polytope on its cycle edges times [0,1] per bridge, so a
-    point whose bridges are 0 lies in the m-th dilate exactly when the columns
-    so zeroed reach it; a tree keeps one column of its 2^|E|."""
-    keep = on_cycles | {g.edge_count}
-    return tuple(dict.fromkeys(tuple(x if e in keep else 0 for e, x in enumerate(z)) for z in points))
-
-
-_last_route = (None, None)  # (configuration, its route), read and replaced as one pair
-
-
-def _lp_route(cfg):
-    """cfg's LP route, built once for all dilates: its walk over every
-    chordless cycle, its edges on cycles and its columns through
-    `_bridges_zeroed`.  The last one is held for the same object, compared by
-    identity, which hashes none of its 2^(n-1) columns."""
-    global _last_route
-    held, route = _last_route
-    if held is not cfg:
-        g = cfg.graph
-        on_cycles = _exact_cycle_edges(g)
-        walk = _CycleWalk(g, _chordless_cycles(g))
-        route = walk, on_cycles, _bridges_zeroed(g, on_cycles, cfg.columns)
-        _last_route = cfg, route
-    return route
+@lru_cache(maxsize=1)
+def _lp_route(g):
+    """g's LP route, built once for all dilates: its walk over every
+    chordless cycle, and its cut vectors with every bridge (an edge on no
+    cycle) at 0, deduplicated in order, each with a last coordinate 1.
+    Cut(g) is the cut polytope on its cycle edges times [0,1] per bridge, so a
+    point whose bridges are 0 lies in the m-th dilate exactly when these
+    columns reach it; a tree keeps one column of its 2^|E|.  Cached on the
+    graph, which hashes its edges, not 2^(n-1) columns."""
+    on_cycles = _exact_cycle_edges(g)
+    masks = [mask if e in on_cycles else 0 for e, mask in enumerate(g._edge_masks)]
+    columns = dict.fromkeys(tuple((side & mask).bit_count() & 1 for mask in masks) + (1,)
+                            for side in range(0, 1 << g.vertex_count, 2))
+    return _CycleWalk(g, _chordless_cycles(g)), tuple(columns)
 
 
 # Lattice points per dilate that the simplex re-decides
@@ -481,19 +441,22 @@ SPOT_CHECKS = 16
 
 
 def _spot_points(columns, m: int) -> list[tuple[int, ...]]:
-    """SPOT_CHECKS lattice points of [0,m]^E, the same on every run.
+    """At most SPOT_CHECKS distinct lattice points of [0,m]^E, the same on
+    every run.
 
     Odd draws are sums of m `columns` (last coordinate dropped), so in the
-    dilate.  Even ones take a column's parities and raise every coordinate by
-    an even amount that stays within m, so they fall on either side.
-    [0,0]^E holds only the origin.
+    dilate.  Even ones take a column's parities and raise every coordinate
+    that some column sets by an even amount that stays within m, so they fall
+    on either side; the others stay 0.  [0,0]^E holds only the origin.
     """
     if not m:
         return [(0,) * (len(columns[0]) - 1)]
-    rng = random.Random(m)
-    return [tuple(map(sum, zip(*rng.choices(columns, k=m))))[:-1] if k & 1 else
-            tuple(c + 2 * rng.randrange((m - c) // 2 + 1) for c in rng.choice(columns)[:-1])
-            for k in range(SPOT_CHECKS)]
+    rng, live = random.Random(m), list(map(max, zip(*columns)))
+    return list(dict.fromkeys(
+        tuple(map(sum, zip(*rng.choices(columns, k=m))))[:-1] if k & 1 else
+        tuple(c + 2 * rng.randrange((m - c) // 2 + 1) * s
+              for c, s in zip(rng.choice(columns)[:-1], live))
+        for k in range(SPOT_CHECKS)))
 
 
 def count_lattice_points(cfg, m: int) -> int:
@@ -505,8 +468,8 @@ def count_lattice_points(cfg, m: int) -> int:
     """
     if m < 0:
         raise ValueError("dilate must be nonnegative")
-    walk, on_cycles, columns = _lp_route(cfg)
-    for z in _bridges_zeroed(cfg.graph, on_cycles, _spot_points(columns, m)):
+    walk, columns = _lp_route(cfg.graph)
+    for z in _spot_points(columns, m):
         if walk.admits(z, m) != _phase1(columns, z + (m,)):
             raise VerificationError(
                 f"chordless-cycle inequalities and the simplex disagree on {z} at dilate {m}")
@@ -588,7 +551,7 @@ def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     """
     A, B = check_lp_cost(cfg, max_dilate)
     closed = [count_lattice_points(cfg, m=m) for m in range(A + 1)]
-    walk, d = _lp_route(cfg)[0], cfg.dimension
+    walk, d = _lp_route(cfg.graph)[0], cfg.dimension
     interior = [walk.count(m, strict=True) for m in range(1, B + 1)]
     return CountSequence(dimension=d, counts=_reciprocal_counts(d, A + B, closed, interior))
 

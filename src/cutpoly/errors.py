@@ -1,5 +1,8 @@
 """Shared exception types, the strict integer parser behind every count and
-label cutpoly reads, and the vertex-set bitmask behind every side it reads."""
+label cutpoly reads, the vertex-set bitmask behind every side it reads, and
+the digit limit behind every guard on what can be printed."""
+
+import sys
 
 
 class CostGuardError(RuntimeError):
@@ -44,6 +47,14 @@ def as_mask(vertices, vertex_count: int) -> int:
             raise ValueError(f"vertex {v} out of range 1..{vertex_count}")
         mask |= 1 << (v - 1)
     return mask
+
+
+def int_digit_limit() -> int:
+    """The digits Python converts an int to text with: sys.get_int_max_str_digits(),
+    read as Python's default, 4,300, when it is 0 (no limit) or absent (Python
+    before 3.10.7), so that the guards keyed on it refuse the same sizes
+    everywhere."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def shown(value: int | None, bits: int = 0) -> str:

@@ -207,7 +207,11 @@ def cycle_edges(g: Graph) -> set[int]:
 # ---------------------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format: first line m, then one 'u v' per line."""
+    """Parse the plain edge-list format: first line m, then one 'u v' per line.
+
+    A loop, a duplicate edge or an endpoint out of range is reported at its
+    own line; a bad vertex count or a disconnected graph at the count's line.
+    """
     vertex_count = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -222,6 +226,7 @@ def parse_edge_list(text: str) -> Graph:
                 vertex_count = ascii_int(parts[0])
             except ValueError:
                 raise EdgeListParseError(lineno, f"bad vertex count {parts[0]!r}") from None
+            count_line = lineno
             continue
         if len(parts) != 2:
             raise EdgeListParseError(lineno, "expected two endpoints 'u v'")
@@ -232,12 +237,20 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((lineno, u, v))
     if vertex_count is None:
         raise EdgeListParseError(1, "empty input")
+    at = count_line
+
+    def endpoints():
+        # Graph reads the edges in order and rejects a bad one before it reads
+        # the next, so `at` is the line of the edge it rejects
+        nonlocal at
+        for at, u, v in edges:
+            yield u, v
+        at = count_line
+
     try:
-        return Graph(vertex_count, [(u, v) for _, u, v in edges])
+        return Graph(vertex_count, endpoints())
     except ValueError as exc:
-        # attribute structural problems to the first edge line if possible
-        lineno = edges[0][0] if edges else 1
-        raise EdgeListParseError(lineno, str(exc)) from None
+        raise EdgeListParseError(at, str(exc)) from None
 
 
 def read_edge_list(path_) -> Graph:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from functools import lru_cache
 
-from .errors import CostGuardError, VerificationError, as_mask, shown
+from .errors import CostGuardError, VerificationError, as_mask, int_digit_limit, shown
 from .polynomial import IntPolynomial, stirling2
 from .record import FrozenRecord
 
@@ -66,10 +65,9 @@ def variable_table(n: int) -> VariableTable:
     """Refused before it is built when the basis of [n] would hold more than
     GB_BASIS_LIMIT binomials: 2 C(2^k, 2) - 2 (3^k - 2^k) + 1 with k = n - 2,
     in [2^(2k-1), 2^(2k)) from k = 5 on.  Past the digits Python prints
-    (2^10 > 10^3; a nonzero limit is at least 640) that size is not built."""
+    (2^10 > 10^3; `int_digit_limit` is at least 640) that size is not built."""
     k = max(n - 2, 0)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    unbuilt = k >= 5 and digits and 3 * (2 * k - 1) >= 10 * digits
+    unbuilt = k >= 5 and 3 * (2 * k - 1) >= 10 * int_digit_limit()
     size = None if unbuilt else 2 * math.comb(2 ** k, 2) - 2 * (3 ** k - 2 ** k) + 1
     if unbuilt or size > GB_BASIS_LIMIT:
         raise CostGuardError(f"Groebner basis refused for n = {n}: {shown(size, 2 * k)} "

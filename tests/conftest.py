@@ -37,6 +37,13 @@ def k23_counts(k23_config):
     return semigroup_counts(k23_config, 7)
 
 
+@pytest.fixture(autouse=True)
+def fresh_lp_route():
+    """Each test builds its own LP route: one cached for an equal graph by an
+    earlier test would bypass a test's patches of the pieces that build it."""
+    ehrhart._lp_route.cache_clear()
+
+
 @pytest.fixture
 def layers_built(monkeypatch):
     """A one-item list counting the semigroup kernel's layer steps."""

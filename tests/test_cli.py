@@ -518,6 +518,26 @@ class TestGb:
         assert out == ""
         assert "a 682-digit integer to print, limit 640 digits" in err
 
+    def test_guards_hold_without_a_digit_limit(self, capsys, monkeypatch):
+        # a limit of 0 (none), or none at all before Python 3.10.7, reads as
+        # the default 4,300 digits: each is refused at once, not computed
+        cases = ((("gb", "100000000", "list"), "2^199999995 or more binomials"),
+                 (("closed-form", "100000"), "a 913128-digit integer to print, limit 4300 digits"),
+                 (("gb", "100000", "fvector"), "a 913128-digit integer to print, limit 4300 digits"))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for argv, message in cases:
+                start = time.perf_counter()
+                code, out, err = run_cli(capsys, *argv)
+                assert time.perf_counter() - start < 1, argv
+                assert (code, out) == (EXIT_COST_GUARD, "") and message in err, argv
+        finally:
+            sys.set_int_max_str_digits(limit)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        code, _, err = run_cli(capsys, *cases[1][0])
+        assert code == EXIT_COST_GUARD and cases[1][1] in err
+
 
 class TestReportContract:
     def test_byte_stable(self, capsys):

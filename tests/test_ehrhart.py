@@ -11,7 +11,6 @@ from cutpoly.ehrhart import (
     hstar_from_counts,
     hstar_polynomial,
     lattice_point_counts,
-    membership_in_dilate,
     semigroup_counts,
 )
 from cutpoly.graph import (
@@ -221,26 +220,29 @@ class TestBitsetSumset:
 
 
 class TestMembershipInDilate:
+    """The phase-1 simplex decides whether a point, its last coordinate m,
+    lies in the m-th dilate."""
+
     def test_vertex_dilates(self, c4_config):
         for m in (1, 2, 5):
             for col in c4_config.columns[:3]:
                 point = tuple(m * x for x in col)
-                assert membership_in_dilate(point, c4_config, m)
+                assert ehrhart._phase1(c4_config.columns, point)
 
     def test_two_column_sums(self, k23_config):
         cols = k23_config.columns
         point = tuple(a + b for a, b in zip(cols[2], cols[9]))
-        assert membership_in_dilate(point, k23_config, 2)
+        assert ehrhart._phase1(cols, point)
 
     def test_all_twos_in_double_c4(self, c4_config):
-        assert membership_in_dilate((2, 2, 2, 2, 2), c4_config, 2)
+        assert ehrhart._phase1(c4_config.columns, (2, 2, 2, 2, 2))
 
     def test_box_violation_is_outside(self, c4_config):
-        assert not membership_in_dilate((3, 0, 0, 0, 2), c4_config, 2)
+        assert not ehrhart._phase1(c4_config.columns, (3, 0, 0, 0, 2))
 
     def test_odd_parity_point_is_outside(self, c4_config):
         # a cut meets the 4-cycle evenly, so (1,0,0,0) cannot lie in 1*P
-        assert not membership_in_dilate((1, 0, 0, 0, 1), c4_config, 1)
+        assert not ehrhart._phase1(c4_config.columns, (1, 0, 0, 0, 1))
 
     def test_random_certificates(self, k23_config):
         rng = random.Random(17)
@@ -251,20 +253,7 @@ class TestMembershipInDilate:
             point = tuple(sum(w * c[i] for w, c in zip(weights, cols)) for i in range(7))
             if m == 0:
                 continue
-            assert membership_in_dilate(point, k23_config, m)
-
-    def test_dimension_and_dilate_validation(self, c4_config):
-        with pytest.raises(ValueError):
-            membership_in_dilate((1, 0, 0), c4_config, 1)
-        with pytest.raises(ValueError):
-            membership_in_dilate((0, 0, 0, 0, 2), c4_config, 1)
-        with pytest.raises(ValueError):
-            membership_in_dilate((0, 0, 0, 0, -1), c4_config, -1)
-        # coordinates are exact integers: no truncation, no bool
-        with pytest.raises(ValueError):
-            membership_in_dilate((0.9, 0, 0, 0, 1), c4_config, 1)
-        with pytest.raises(ValueError):
-            membership_in_dilate((True, True, 0, 0, 1), c4_config, 1)
+            assert ehrhart._phase1(cols, point)
 
     def test_simplex_against_fraction_oracle(self, c4_config, k23_config):
         from oracles import fraction_simplex_feasible
@@ -531,6 +520,25 @@ class TestCertificates:
                         2 ** (g.vertex_count - 1 - len(bridges)), (g, m)
                     assert not any(col[e] or rhs[e] for col in columns for e in bridges), (g, m)
 
+    def test_spot_points_are_pinned(self, monkeypatch):
+        # the simplex re-decides the same points on every run: a triangle
+        # with a pendant path at dilate 3 draws 16, every bridge at 0, and
+        # keeps the 10 distinct ones in order
+        cfg = configuration(Graph(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]))
+        plain = _plain_count(cfg, 3)
+        seen = []
+        phase1 = ehrhart._phase1
+
+        def logged(columns, rhs):
+            seen.append(rhs)
+            return phase1(columns, rhs)
+
+        monkeypatch.setattr(ehrhart, "_phase1", logged)
+        assert count_lattice_points(cfg, 3) == plain
+        assert seen == [z + (0, 0, 3) for z in (
+            (1, 3, 2), (2, 2, 2), (3, 3, 2), (1, 2, 3), (0, 0, 0),
+            (3, 2, 3), (2, 0, 2), (0, 2, 2), (2, 1, 1), (2, 3, 1))]
+
     def test_a_tree_takes_one_simplex_call_a_dilate(self, monkeypatch):
         # every spot point of a tree is the origin once its bridges are 0
         calls = _count_simplex_calls(monkeypatch)
@@ -540,7 +548,7 @@ class TestCertificates:
 
     def test_columns_zeroed_once_per_configuration(self, monkeypatch):
         # the cycle edges are found and the columns zeroed once for all
-        # dilates of a configuration, not once per dilate
+        # dilates of a graph, not once per dilate
         found = []
         monkeypatch.setattr(ehrhart, "cycle_edges", lambda g: found.append(g) or cycle_edges(g))
         for g in (path(6), cycle(5)):
@@ -675,16 +683,25 @@ class TestReciprocity:
             lattice_point_counts(configuration(g), M)
         assert built == [cycle(5), K4, cycle(5)]
 
-    def test_route_held_by_identity(self, monkeypatch):
-        # the last route is held for the configuration object it was built
-        # for, never hashing it (all 2^(n-1) columns); an equal configuration
-        # gets a route of its own
+    def test_route_built_once_per_graph(self, monkeypatch):
+        # the route is cached on the graph, which hashes its edges: equal
+        # configurations share one build, and no configuration (all 2^(n-1)
+        # columns) is ever hashed
+        built = []
+        init = ehrhart._CycleWalk.__init__
+
+        def logged(self, g, cycles):
+            built.append(g)
+            init(self, g, cycles)
+
+        monkeypatch.setattr(ehrhart._CycleWalk, "__init__", logged)
+        monkeypatch.setattr(CutConfiguration, "__hash__", lambda self: pytest.fail("hashed"))
         cfg, other = configuration(cycle(5)), configuration(cycle(5))
-        monkeypatch.setattr(type(cfg), "__hash__", lambda self: pytest.fail("hashed"))
-        route = ehrhart._lp_route(cfg)
+        assert other == cfg and other is not cfg
         assert lattice_point_counts(cfg) == semigroup_counts(cfg)
-        assert ehrhart._lp_route(cfg) is route
-        assert other == cfg and ehrhart._lp_route(other) is not route
+        assert lattice_point_counts(other, 9) == semigroup_counts(other, 9)
+        assert ehrhart._lp_route(other.graph) is ehrhart._lp_route(cfg.graph)
+        assert built == [cycle(5)]
 
     def test_a_count_off_by_one_is_refused(self, monkeypatch):
         # one interior or closed count one too high, at each walked dilate in

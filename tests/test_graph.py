@@ -246,3 +246,14 @@ class TestEdgeListFormat:
         assert exc.value.line_number == 2
         with pytest.raises(EdgeListParseError):
             parse_edge_list("")
+        # each edge is reported at its own line, the whole graph at its count's
+        for text, line, message in (
+                ("4\n1 2\n2 3\n3 4\n1 2\n", 5, "duplicate edge {1,2}"),
+                ("4\n1 2\n\n2 3\n3 3\n3 4\n", 5, "loop at vertex 3"),
+                ("4\n1 2\n2 3\n3 5\n", 4, "edge (3, 5) has endpoints outside 1..4"),
+                ("\n4\n1 2\n2 3\n", 2, "graph is not connected"),
+                ("\n\n0\n", 3, "vertex count must be positive"),
+                ("25\n1 2\n", 1, "vertex count 25 exceeds cap 24")):
+            with pytest.raises(EdgeListParseError) as exc:
+                parse_edge_list(text)
+            assert str(exc.value) == f"line {line}: {message}", text
