@@ -170,8 +170,10 @@ def _refuse_unprintable(n: int, largest: int | None = None) -> None:
     digits = 1 + math.floor(math.log10(largest) if largest else
                             (math.log(2) + 2 * math.lgamma(n - 1)) / math.log(10))
     if digits > limit:
+        setting = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        named = "sys.get_int_max_str_digits" if setting else "Python's default, no limit set"
         raise CostGuardError(f"report refused for n = {n}: a {digits}-digit integer to "
-                             f"print, limit {limit} digits (sys.get_int_max_str_digits)")
+                             f"print, limit {limit} digits ({named})")
 
 
 def cmd_closed_form(args) -> dict:

@@ -12,10 +12,11 @@ rational phase-1 simplex re-decides a few points per dilate, and any
 disagreement raises.  Any other graph is refused.  Only about half the
 dilates and as many interiors are walked; by Ehrhart-Macdonald reciprocity
 they fix the Ehrhart polynomial, every spare count is checked against it, and
-the rest are read off it.  The route is a function of the graph, cached on
-it, and the guard charges the dilates it will walk before any of them.  The
-two routes agree exactly when the toric ring is normal; disagreements are
-surfaced, never masked.
+the rest are read off it.  The route is read off the graph's cycle edges and
+vertices and cached on it; the guard charges its walk over the dilates before
+any of them, and either route refuses a budget below the dimension before it
+counts.  The two routes agree exactly when the toric ring is normal;
+disagreements are surfaced, never masked.
 """
 
 from __future__ import annotations
@@ -27,9 +28,17 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .errors import CostGuardError, VerificationError, shown
-from .graph import cycle_edges, fundamental_cycles
+from .graph import fundamental_cycles
 from .polynomial import IntPolynomial
 from .record import FrozenRecord
+
+
+def _budget(d: int, max_dilate: int | None = None) -> int:
+    """The dilate budget M (default d+1); ValueError when 0 <= M < d."""
+    M = d + 1 if max_dilate is None else max_dilate
+    if 0 <= M < d:
+        raise ValueError(f"need counts through dilate {d}, have {M}")
+    return M
 
 
 class CountSequence(FrozenRecord):
@@ -47,9 +56,7 @@ class CountSequence(FrozenRecord):
             raise ValueError("dimension must be nonnegative")
         if not counts or counts[0] != 1:
             raise ValueError("counts must start with i(P,0) = 1")
-        if len(counts) < self.dimension + 1:
-            raise ValueError(
-                f"need counts through dilate {self.dimension}, have {len(counts) - 1}")
+        _budget(self.dimension, len(counts) - 1)
         if any(b < a for a, b in zip(counts, counts[1:])):
             raise ValueError("dilate counts must be nondecreasing")
 
@@ -169,11 +176,11 @@ def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
 def semigroup_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     """One sumset sweep giving all counts for m = 0..max_dilate (default d+1).
 
-    Raises CostGuardError, before building the layer that would pass it, when
-    the bits shifted would exceed SEMIGROUP_BIT_LIMIT.
+    ValueError refuses a budget below d before the first layer; CostGuardError
+    one whose bits shifted would pass SEMIGROUP_BIT_LIMIT, before that layer.
     """
     d = cfg.dimension
-    M = d + 1 if max_dilate is None else max_dilate
+    M = _budget(d, max_dilate)
     return CountSequence(dimension=d, counts=tuple(_semigroup_layer_sizes(cfg.columns, M)))
 
 
@@ -409,17 +416,6 @@ class _CycleWalk:
 K5_MINOR_FREE_EDGES = 9
 
 
-def _exact_cycle_edges(g) -> set[int]:
-    """g's edges on cycles; CostGuardError past K5_MINOR_FREE_EDGES, as only
-    without a K5 minor do the chordless-cycle inequalities cut out Cut(g)."""
-    on_cycles = cycle_edges(g)
-    if len(on_cycles) > K5_MINOR_FREE_EDGES:
-        raise CostGuardError(
-            f"lp route refused: {len(on_cycles)} edges on cycles, over the {K5_MINOR_FREE_EDGES} "
-            "up to which the chordless-cycle walk is exact (no K5 minor)")
-    return on_cycles
-
-
 @lru_cache(maxsize=1)
 def _lp_route(g):
     """g's LP route, built once for all dilates: its walk over every
@@ -427,12 +423,21 @@ def _lp_route(g):
     cycle) at 0, deduplicated in order, each with a last coordinate 1.
     Cut(g) is the cut polytope on its cycle edges times [0,1] per bridge, so a
     point whose bridges are 0 lies in the m-th dilate exactly when these
-    columns reach it; a tree keeps one column of its 2^|E|.  Cached on the
-    graph, which hashes its edges, not 2^(n-1) columns."""
-    on_cycles = _exact_cycle_edges(g)
+    columns reach it.  Past K5_MINOR_FREE_EDGES edges on cycles it is
+    refused (CostGuardError).  A column reads only the side's cycle vertices:
+    the sides are their subsets without vertex 1, ascending, at most 2^9,
+    giving the columns in the order the loop over all 2^(n-1) sides does."""
+    on_cycles = {e for cyc in fundamental_cycles(g) for e in cyc}
+    if len(on_cycles) > K5_MINOR_FREE_EDGES:
+        raise CostGuardError(
+            f"lp route refused: {len(on_cycles)} edges on cycles, over the {K5_MINOR_FREE_EDGES} "
+            "up to which the chordless-cycle walk is exact (no K5 minor)")
     masks = [mask if e in on_cycles else 0 for e, mask in enumerate(g._edge_masks)]
+    free, sides = sum({1 << (v - 1) for e in on_cycles for v in g.edges[e] if v > 1}), [0]
+    while sides[-1] != free:  # the next larger subset of `free`
+        sides.append((sides[-1] - free) & free)
     columns = dict.fromkeys(tuple((side & mask).bit_count() & 1 for mask in masks) + (1,)
-                            for side in range(0, 1 << g.vertex_count, 2))
+                            for side in sides)
     return _CycleWalk(g, _chordless_cycles(g)), tuple(columns)
 
 
@@ -492,13 +497,13 @@ def check_lp_cost(cfg, max_dilate: int | None = None) -> tuple[int, int]:
     and a walk whose boxes exceed LP_CANDIDATE_LIMIT points: with w = c - 1
     of the c edges on cycles walked per point (the last is counted), they
     hold sum (m+1)^w over the closed dilates and sum (m-1)^w over the
-    interiors, at least ((A+1)^(w+1) + (B-1)^(w+1)) // (w+1).  Only the
-    cycle edges are read, so this decides before any work.
+    interiors, at least ((A+1)^(w+1) + (B-1)^(w+1)) // (w+1).  c is read off
+    `_lp_route`, at most 2^9 sides, so this decides before any dilate.
     """
     M = cfg.dimension + 1 if max_dilate is None else max_dilate
     if M < 0:
         raise ValueError("dilate must be nonnegative")
-    c = len(_exact_cycle_edges(cfg.graph))
+    c = cfg.dimension - _lp_route(cfg.graph)[0]._bridges
     B = M // 2 if M >= cfg.dimension else 0
     A, w = M - B, max(c - 1, 0)
     candidates = ((A + 1) ** (w + 1) + max(B - 1, 0) ** (w + 1)) // (w + 1)
@@ -543,13 +548,13 @@ def _reciprocal_counts(d: int, M: int, closed, interior) -> tuple[int, ...]:
 def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     """CountSequence via the lattice-point route (independent of normality).
 
-    It walks the plan (A, B) of `check_lp_cost`, which raises CostGuardError
-    before any work: closed dilates 0..A by `count_lattice_points`, and the
-    interiors of dilates 1..B by the route's walk with `strict`.  Then
-    `_reciprocal_counts` reads the counts for 0..A+B off the Ehrhart
-    polynomial they fix, which each of the spare counts must meet.
+    It refuses a budget below d (ValueError), then walks the plan (A, B) of
+    `check_lp_cost`, which raises CostGuardError before any dilate: closed
+    dilates 0..A by `count_lattice_points`, the interiors of 1..B by the
+    route's walk with `strict`.  `_reciprocal_counts` reads the counts 0..A+B
+    off the Ehrhart polynomial they fix, which every spare count must meet.
     """
-    A, B = check_lp_cost(cfg, max_dilate)
+    A, B = check_lp_cost(cfg, _budget(cfg.dimension, max_dilate))
     closed = [count_lattice_points(cfg, m=m) for m in range(A + 1)]
     walk, d = _lp_route(cfg.graph)[0], cfg.dimension
     interior = [walk.count(m, strict=True) for m in range(1, B + 1)]
@@ -568,8 +573,6 @@ def hstar_from_counts(cs: CountSequence) -> IntPolynomial:
     trailing value signals a counting bug or insufficient data and raises.
     """
     d = cs.dimension
-    if cs.dilate_max < d:
-        raise ValueError(f"need counts through dilate {d}, have {cs.dilate_max}")
     coeffs = []
     for i in range(cs.dilate_max + 1):
         value = sum((-1) ** j * math.comb(d + 1, j) * cs.counts[i - j]

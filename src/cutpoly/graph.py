@@ -196,12 +196,6 @@ def fundamental_cycles(g: Graph) -> list[list[int]]:
     return cycles
 
 
-def cycle_edges(g: Graph) -> set[int]:
-    """Edges of g on a cycle: those of its fundamental cycles; the others are
-    its bridges."""
-    return {e for cyc in fundamental_cycles(g) for e in cyc}
-
-
 # ---------------------------------------------------------------------------
 # edge-list input
 # ---------------------------------------------------------------------------

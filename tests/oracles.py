@@ -7,6 +7,7 @@ Eulerian polynomials count descents over all permutations, dilate counts are
 read back off an h*-polynomial or extended to negative dilates by Lagrange
 interpolation, trees are built from explicit edge lists,
 fundamental cycles climb parent pointers to the endpoints' common ancestor,
+bridges are the edges without which a search from vertex 1 misses a vertex,
 semigroup layers are swept as tuple sumsets, the basis-binomial oracle
 rebuilds every relation from ordered partition pairs, S-polynomials reduce as
 dicts of terms, the chain test compares frozensets, standard monomials are
@@ -172,6 +173,24 @@ def fundamental_cycles_by_climb(g: Graph) -> list[list[int]]:
             found.append(up)
         cycles.append(sorted(found))
     return cycles
+
+
+def bridges_by_removal(g: Graph) -> set[int]:
+    """The edge ids of g whose removal disconnects it: each edge is left out
+    in turn of a depth-first search from vertex 1."""
+    bridges = set()
+    for skip in range(g.edge_count):
+        reached, stack = {1}, [1]
+        while stack:
+            u = stack.pop()
+            for idx, (a, b) in enumerate(g.edges):
+                w = b if a == u else a if b == u else None
+                if idx != skip and w is not None and w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) < g.vertex_count:
+            bridges.add(skip)
+    return bridges
 
 
 def sumset_layer_sizes(columns, max_dilate: int) -> list[int]:

@@ -91,6 +91,14 @@ class TestVertices:
         assert code == EXIT_PARSE
         assert err.startswith("usage: ") and "--path: not allowed with argument --cycle" in err
 
+    def test_one_vertex_edge_list(self, capsys, tmp_path):
+        # a one-vertex graph parses, but has no cut polytope
+        target = tmp_path / "k1.txt"
+        target.write_text("1\n")
+        for command in ("vertices", "hstar"):
+            assert run_cli(capsys, command, "--edge-list", str(target)) == \
+                (EXIT_PARSE, "", "error: cut polytope needs at least 2 vertices\n"), command
+
     def test_bad_edge_list_reports_line(self, capsys, tmp_path):
         target = tmp_path / "bad.txt"
         target.write_text("3\n1 2\noops\n")
@@ -395,6 +403,11 @@ class TestClosedForm:
 
 
 class TestGb:
+    def test_rejects_small_n(self, capsys):
+        for action in ("list", "verify", "fvector", "compare"):
+            assert run_cli(capsys, "gb", "3", action) == \
+                (EXIT_PARSE, "", "error: cut-ideal basis needs n >= 4\n"), action
+
     def test_list_n5(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "gb", "5", "list")
         payload = json.loads(out)
@@ -520,10 +533,13 @@ class TestGb:
 
     def test_guards_hold_without_a_digit_limit(self, capsys, monkeypatch):
         # a limit of 0 (none), or none at all before Python 3.10.7, reads as
-        # the default 4,300 digits: each is refused at once, not computed
+        # the default 4,300 digits: each is refused at once, not computed, and
+        # the message names the default that stands in, where a set limit of
+        # 4,300 is named as the setting
+        stand_in = ("a 913128-digit integer to print, limit 4300 digits "
+                    "(Python's default, no limit set)")
         cases = ((("gb", "100000000", "list"), "2^199999995 or more binomials"),
-                 (("closed-form", "100000"), "a 913128-digit integer to print, limit 4300 digits"),
-                 (("gb", "100000", "fvector"), "a 913128-digit integer to print, limit 4300 digits"))
+                 (("closed-form", "100000"), stand_in), (("gb", "100000", "fvector"), stand_in))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
@@ -532,6 +548,10 @@ class TestGb:
                 code, out, err = run_cli(capsys, *argv)
                 assert time.perf_counter() - start < 1, argv
                 assert (code, out) == (EXIT_COST_GUARD, "") and message in err, argv
+            sys.set_int_max_str_digits(4300)
+            assert run_cli(capsys, *cases[1][0]) == (EXIT_COST_GUARD, "", (
+                "cost guard: report refused for n = 100000: a 913128-digit integer to print, "
+                "limit 4300 digits (sys.get_int_max_str_digits)\n"))
         finally:
             sys.set_int_max_str_digits(limit)
         monkeypatch.delattr(sys, "get_int_max_str_digits")

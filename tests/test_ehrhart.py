@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -19,7 +20,6 @@ from cutpoly.graph import (
     complete_bipartite,
     configuration,
     cycle,
-    cycle_edges,
     fundamental_cycles,
     path,
 )
@@ -32,7 +32,7 @@ from cutpoly.polynomial import (
     is_palindromic,
 )
 
-from oracles import ehrhart_from_hstar, interpolated_value
+from oracles import bridges_by_removal, ehrhart_from_hstar, interpolated_value
 
 
 class TestCountSequence:
@@ -288,15 +288,18 @@ class TestLatticePointCounts:
 
     def test_cost_guard_refuses_before_the_first_candidate(self, monkeypatch):
         # K_{3,3} at dilates 0..10: 9 edges on cycles, an exact walk over 8 of
-        # them, closed dilates 0..5 and interiors 1..5: (6^9 + 4^9) // 9
-        built = []
-        monkeypatch.setattr(ehrhart, "_lp_route", built.append)
+        # them, closed dilates 0..5 and interiors 1..5: (6^9 + 4^9) // 9.  The
+        # guard reads the route it builds, but walks no dilate and runs no
+        # simplex
+        walked = []
+        monkeypatch.setattr(ehrhart._CycleWalk, "count", lambda *args: walked.append(args))
+        calls = _count_simplex_calls(monkeypatch)
         with pytest.raises(CostGuardError) as exc:
             lattice_point_counts(configuration(complete_bipartite(3, 3)))
         assert str(exc.value) == (
             "lp route refused: at least 1148871 box candidates on 8 walked edges for closed "
             f"dilates 0..5 and 5 interiors, over the limit {ehrhart.LP_CANDIDATE_LIMIT}")
-        assert not built
+        assert walked == [] and calls[0] == 0
 
     def test_cost_guard_plans(self):
         # (A, B): B = floor(M/2) with M >= d, else 0; the 7- and 8-cycle-edge
@@ -484,7 +487,8 @@ class TestCertificates:
         # spot checks only; K_5 with one has 10 on cycles and is refused
         calls = _count_simplex_calls(monkeypatch)
         g = Graph(7, list(complete_bipartite(3, 3).edges) + [(6, 7)])
-        assert g.edge_count > ehrhart.K5_MINOR_FREE_EDGES == len(cycle_edges(g))
+        on_cycles = g.edge_count - len(bridges_by_removal(g))
+        assert g.edge_count > ehrhart.K5_MINOR_FREE_EDGES == on_cycles
         cfg = configuration(g)
         counts = [count_lattice_points(cfg, m) for m in range(3)]
         assert calls[0] <= 3 * ehrhart.SPOT_CHECKS
@@ -509,7 +513,7 @@ class TestCertificates:
         monkeypatch.setattr(ehrhart, "_phase1", logged)
         cases = ((path(8), [(m + 1) ** 8 for m in range(3)]), (triangle_tail, plain))
         for g, expected in cases:
-            bridges = set(range(g.edge_count)) - cycle_edges(g)
+            bridges = bridges_by_removal(g)
             cfg = configuration(g)
             for m in range(3):
                 seen.clear()
@@ -547,15 +551,46 @@ class TestCertificates:
         assert calls[0] == 8  # closed dilates 0..7; interiors 1..6 take none
 
     def test_columns_zeroed_once_per_configuration(self, monkeypatch):
-        # the cycle edges are found and the columns zeroed once for all
-        # dilates of a graph, not once per dilate
-        found = []
-        monkeypatch.setattr(ehrhart, "cycle_edges", lambda g: found.append(g) or cycle_edges(g))
+        # the route, its cycle edges and its zeroed columns, is built once for
+        # all dilates of a graph, not once per dilate
         for g in (path(6), cycle(5)):
             cfg = configuration(g)
             counts = [count_lattice_points(cfg, m) for m in range(3)]
             assert counts == [_plain_count(cfg, m) for m in range(3)], g
-        assert found == [path(6), cycle(5)]
+        assert ehrhart._lp_route.cache_info().misses == 2
+
+    def test_route_columns_are_the_zeroed_configuration(self):
+        # the columns read off the cycle vertices' sides are, in order, the
+        # configuration's columns with every bridge at 0, deduplicated: on
+        # seeded graphs with bridges, vertex 1 on a cycle and off every one
+        rng = random.Random(2028)
+        seen = set()
+        for _ in range(40):
+            n = rng.randrange(3, 9)
+            edges = [(rng.randrange(1, i), i) for i in range(2, n + 1)]
+            extra = [(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+                     if (u, v) not in edges]
+            edges += rng.sample(extra, rng.randrange(0, min(3, len(extra)) + 1))
+            labels = list(range(1, n + 1))
+            rng.shuffle(labels)
+            g = Graph(n, [(labels[u - 1], labels[v - 1]) for u, v in edges])
+            bridges = bridges_by_removal(g)
+            if not bridges or g.edge_count - len(bridges) > ehrhart.K5_MINOR_FREE_EDGES:
+                continue
+            zeroed = dict.fromkeys(tuple(0 if e in bridges else x for e, x in enumerate(col))
+                                   for col in configuration(g).columns)
+            assert ehrhart._lp_route(g)[1] == tuple(zeroed), g
+            seen.add(any(1 in g.edges[e] for e in set(range(g.edge_count)) - bridges))
+        assert seen == {True, False}
+
+    def test_a_long_tail_builds_at_once(self):
+        # a triangle at the end of a 21-edge tail: of the 2^23 sides the route
+        # reads the 2^3 of the triangle's vertices, for 4 distinct columns
+        g = Graph(24, [(i, i + 1) for i in range(1, 24)] + [(22, 24)])
+        start = time.perf_counter()
+        walk, columns = ehrhart._lp_route(g)
+        assert time.perf_counter() - start < 1
+        assert walk._bridges == 21 and len(columns) == 4
 
     def test_simplex_runs_only_for_the_spot_check(self, monkeypatch):
         calls = _count_simplex_calls(monkeypatch)
@@ -650,24 +685,20 @@ class TestReciprocity:
             assert walked == [(m, False) for m in range(closed + 1)] + \
                 [(m, True) for m in range(1, interior + 1)], M
 
-    def test_a_budget_below_d_counts_every_dilate(self, monkeypatch):
-        # C_4 (d = 4) at budget 3: the plan is closed dilates 0..3 and no
-        # interior.  Four counts cannot fix a polynomial of degree 4, so they
-        # are refused once counted
+    def test_a_budget_below_d_is_refused_before_counting(self, monkeypatch, layers_built):
+        # C_4 (d = 4) at budgets 0..3: the LP plan is closed dilates 0..M and
+        # no interior, but M+1 counts cannot fix a polynomial of degree 4, so
+        # either route refuses before its first walk or layer
         walked = []
-        count = ehrhart._CycleWalk.count
-
-        def logged(self, m, strict=False):
-            walked.append((m, strict, count(self, m, strict)))
-            return walked[-1][-1]
-
-        monkeypatch.setattr(ehrhart._CycleWalk, "count", logged)
+        monkeypatch.setattr(ehrhart._CycleWalk, "count", lambda *args: walked.append(args))
+        calls = _count_simplex_calls(monkeypatch)
         cfg = configuration(cycle(4))
         assert ehrhart.check_lp_cost(cfg, 3) == (3, 0)
-        with pytest.raises(ValueError, match="need counts through dilate 4, have 3"):
-            lattice_point_counts(cfg, 3)
-        counts = ehrhart._semigroup_layer_sizes(cfg.columns, 3)
-        assert walked == [(m, False, c) for m, c in enumerate(counts)]
+        for M in range(4):
+            for route in (lattice_point_counts, semigroup_counts):
+                with pytest.raises(ValueError, match=f"need counts through dilate 4, have {M}$"):
+                    route(cfg, M)
+        assert (walked, calls[0], layers_built[0]) == ([], 0, 0)
 
     def test_one_walk_per_configuration(self, monkeypatch):
         # the closed dilates and the interiors share the route's one walk

@@ -252,6 +252,7 @@ class TestEdgeListFormat:
                 ("4\n1 2\n\n2 3\n3 3\n3 4\n", 5, "loop at vertex 3"),
                 ("4\n1 2\n2 3\n3 5\n", 4, "edge (3, 5) has endpoints outside 1..4"),
                 ("\n4\n1 2\n2 3\n", 2, "graph is not connected"),
+                ("4 1\n1 2\n", 1, "expected a single vertex count"),
                 ("\n\n0\n", 3, "vertex count must be positive"),
                 ("25\n1 2\n", 1, "vertex count 25 exceeds cap 24")):
             with pytest.raises(EdgeListParseError) as exc:
