@@ -332,18 +332,15 @@ class _CycleWalk:
     spanning the cycle space, such as the fundamental or the chordless cycles:
     2 e_uv = delta({u}) + delta({v}) - delta({u,v}) puts 2Z^E in it, and modulo
     2 the cut vectors span the cut space (Deza-Laurent, *Geometry of Cuts and
-    Metrics*, 1997).  That is `in_lattice`.  `admits` tests each cycle's odd-F
-    inequalities (`_closing_range`): a point that fails one is outside the
-    dilate.  When g has no K5 minor and the family is every chordless cycle,
-    Cut(g) is cut out by 0 <= x <= 1 and those inequalities (Barahona-Mahjoub,
-    "On the cut polytope", Math. Prog. 36, 1986), so a lattice point of the
-    box lies in the m-th dilate exactly when `admits` holds.
+    Metrics*, 1997).  A point that fails one of a cycle's odd-F inequalities
+    (`_closing_range`) is outside the dilate.  When g has no K5 minor and the
+    family is every chordless cycle, Cut(g) is cut out by 0 <= x <= 1 and
+    those inequalities (Barahona-Mahjoub, "On the cut polytope", Math. Prog.
+    36, 1986), so a point of the box is a lattice point of the m-th dilate
+    exactly when it `holds`.
     """
 
     def __init__(self, g, cycles):
-        # a cycle of a simple graph has at least 3 edges, so each getter here
-        # and in `_closing` returns a tuple
-        self._cycles = [itemgetter(*cyc) for cyc in cycles]
         # the walk's edge order places the cycle with the fewest edges still
         # unplaced next, so cycles close early and prune whole subtrees
         order = []
@@ -353,9 +350,9 @@ class _CycleWalk:
             if not unplaced:
                 break
             order += min(unplaced, key=len)
-        position = {e: k for k, e in enumerate(order)}
+        self._order, position = order, {e: k for k, e in enumerate(order)}
         # the cycles whose last edge in the order is at position k, each as a
-        # getter of its other edges' values
+        # getter of its other edges' values (a tuple: a cycle has 3 or more edges)
         self._closing = [[] for _ in order]
         for cyc in cycles:
             last = max(position[e] for e in cyc)
@@ -363,22 +360,18 @@ class _CycleWalk:
         # an edge on no cycle is a bridge, one factor of the count
         self._bridges = g.edge_count - len(order)
 
-    def in_lattice(self, z) -> bool:
-        """True iff z lies in the column lattice; its last coordinate is free."""
-        return all(not sum(cyc(z)) & 1 for cyc in self._cycles)
-
-    def admits(self, z, m: int) -> bool:
-        for cyc in self._cycles:
-            x, *rest = cyc(z)
-            lo, hi = _closing_range(rest, m)
-            if not lo <= x <= hi:
-                return False
-        return True
+    def holds(self, z, m: int) -> bool:
+        """True iff `count(m)` counts z, bridges aside: read in walk order,
+        each coordinate on a cycle is one of its `_closing_values`."""
+        values = [z[e] for e in self._order]
+        return all(values[k] in _closing_values([rest(values) for rest in closing], m)
+                   for k, closing in enumerate(self._closing))
 
     def count(self, m: int, strict=False) -> int:
-        """Lattice points of [0,m]^E that `admits`, by a depth-first walk over
-        the cycle edges; the last one is counted, not walked.  Each bridge
-        multiplies the count by m+1.
+        """Lattice points of [0,m]^E that meet every cycle's parity and odd-F
+        inequalities, by a depth-first walk over the cycle edges through
+        their `_closing_values`; the last one is counted, not walked.  Each
+        bridge multiplies the count by m+1.
 
         `strict` (for m >= 1) counts the points that meet every inequality
         strictly instead: each edge's values shrink to `_closing_values`
@@ -427,13 +420,13 @@ def _lp_route(g):
     refused (CostGuardError).  A column reads only the side's cycle vertices:
     the sides are their subsets without vertex 1, ascending, at most 2^9,
     giving the columns in the order the loop over all 2^(n-1) sides does."""
-    on_cycles = {e for cyc in fundamental_cycles(g) for e in cyc}
-    if len(on_cycles) > K5_MINOR_FREE_EDGES:
+    cycle_edges = {e for cyc in fundamental_cycles(g) for e in cyc}
+    if len(cycle_edges) > K5_MINOR_FREE_EDGES:
         raise CostGuardError(
-            f"lp route refused: {len(on_cycles)} edges on cycles, over the {K5_MINOR_FREE_EDGES} "
+            f"lp route refused: {len(cycle_edges)} edges on cycles, over the {K5_MINOR_FREE_EDGES} "
             "up to which the chordless-cycle walk is exact (no K5 minor)")
-    masks = [mask if e in on_cycles else 0 for e, mask in enumerate(g._edge_masks)]
-    free, sides = sum({1 << (v - 1) for e in on_cycles for v in g.edges[e] if v > 1}), [0]
+    masks = [mask if e in cycle_edges else 0 for e, mask in enumerate(g._edge_masks)]
+    free, sides = sum({1 << (v - 1) for e in cycle_edges for v in g.edges[e] if v > 1}), [0]
     while sides[-1] != free:  # the next larger subset of `free`
         sides.append((sides[-1] - free) & free)
     columns = dict.fromkeys(tuple((side & mask).bit_count() & 1 for mask in masks) + (1,)
@@ -452,9 +445,10 @@ def _spot_points(columns, m: int) -> list[tuple[int, ...]]:
     Odd draws are sums of m `columns` (last coordinate dropped), so in the
     dilate.  Even ones take a column's parities and raise every coordinate
     that some column sets by an even amount that stays within m, so they fall
-    on either side; the others stay 0.  [0,0]^E holds only the origin.
+    on either side; the others stay 0.  [0,0]^E holds only the origin, and a
+    forest's one column, all 0 but its last coordinate, draws only the origin.
     """
-    if not m:
+    if not m or len(columns) == 1:
         return [(0,) * (len(columns[0]) - 1)]
     rng, live = random.Random(m), list(map(max, zip(*columns)))
     return list(dict.fromkeys(
@@ -475,7 +469,7 @@ def count_lattice_points(cfg, m: int) -> int:
         raise ValueError("dilate must be nonnegative")
     walk, columns = _lp_route(cfg.graph)
     for z in _spot_points(columns, m):
-        if walk.admits(z, m) != _phase1(columns, z + (m,)):
+        if walk.holds(z, m) != _phase1(columns, z + (m,)):
             raise VerificationError(
                 f"chordless-cycle inequalities and the simplex disagree on {z} at dilate {m}")
     return walk.count(m)
@@ -532,8 +526,9 @@ def _reciprocal_counts(d: int, M: int, closed, interior) -> tuple[int, ...]:
     dilate M.  With B = 0 the closed counts come back as they are, checked.
     """
     values = [(-1) ** d * count for count in reversed(interior)] + closed
+    row = [(-1) ** j * math.comb(d + 1, j) for j in range(1, d + 2)]
     for k in range(d + 1, len(interior) + M + 1):
-        fitted = -sum((-1) ** j * math.comb(d + 1, j) * values[k - j] for j in range(1, d + 2))
+        fitted = -sum(c * values[k - j] for j, c in enumerate(row, 1))
         if k == len(values):
             values.append(fitted)
         elif values[k] != fitted:
@@ -572,11 +567,10 @@ def hstar_from_counts(cs: CountSequence) -> IntPolynomial:
     dimension must transform to zero; a negative coefficient or a nonzero
     trailing value signals a counting bug or insufficient data and raises.
     """
-    d = cs.dimension
-    coeffs = []
-    for i in range(cs.dilate_max + 1):
-        value = sum((-1) ** j * math.comb(d + 1, j) * cs.counts[i - j]
-                    for j in range(0, min(i, d + 1) + 1))
+    d, counts, coeffs = cs.dimension, cs.counts, []
+    row = [(-1) ** j * math.comb(d + 1, j) for j in range(d + 2)]
+    for i in range(len(counts)):
+        value = sum(c * counts[i - j] for j, c in enumerate(row[:i + 1]))
         if i <= d:
             if value < 0:
                 raise VerificationError(f"h*_{i} = {value} negative; counts inconsistent")

@@ -26,6 +26,7 @@ class VariableTable:
 
     The order ascends by min side size, then puts split-pattern (vertex 2 in
     the mask) before 12-together, then compares the encoding of the mask.
+    `names[i]` is q_i as text, "q(2,4)" for the side {2, 4}.
     """
 
     def __init__(self, n: int):
@@ -42,6 +43,7 @@ class VariableTable:
         self.masks = tuple(sorted(encoding, key=key))
         self._index_by_mask = {m: i for i, m in enumerate(self.masks)}
         self._encodings = tuple(map(encoding.get, self.masks))
+        self.names = tuple("q(" + ",".join(map(str, e)) + ")" for e in self._encodings)
 
     def __len__(self):
         return len(self.masks)
@@ -488,28 +490,17 @@ def count_standard_by_degree(n: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 def format_binomial(b: CutBinomial) -> str:
-    table = variable_table(b.lead.n)
-
-    def var(i):
-        return "q(" + ",".join(map(str, table.encode(i))) + ")"
-
-    lead = "*".join(map(var, b.lead))
-    trail = "*".join(map(var, b.trail))
-    return f"{lead} - {trail}"
+    names = variable_table(b.lead.n).names
+    return "*".join([names[i] for i in b.lead]) + " - " + "*".join([names[i] for i in b.trail])
 
 
 def basis_payload(binomials) -> list[dict]:
     """One {family, lead, trail} dict per binomial, each variable encoded as the
-    sorted side not containing vertex 1; the `gb N list` report's basis."""
+    sorted side not containing vertex 1; the `gb N list` report's basis.  A
+    call builds one list per variable and shares it across its binomials."""
     if not binomials:
         return []
-    table = variable_table(binomials[0].lead.n)
-    return [
-        {
-            "family": b.family,
-            "lead": [list(table.encode(i)) for i in b.lead],
-            "trail": [list(table.encode(i)) for i in b.trail],
-        }
-        for b in binomials
-    ]
+    sides = list(map(list, variable_table(binomials[0].lead.n)._encodings))
+    return [{"family": b.family, "lead": [sides[i] for i in b.lead],
+             "trail": [sides[i] for i in b.trail]} for b in binomials]
 

@@ -8,6 +8,9 @@ read back off an h*-polynomial or extended to negative dilates by Lagrange
 interpolation, trees are built from explicit edge lists,
 fundamental cycles climb parent pointers to the endpoints' common ancestor,
 bridges are the edges without which a search from vertex 1 misses a vertex,
+a point meets a cycle's parity and odd-F inequalities when its sum on the
+cycle is even and, for each odd k, its k largest coordinates there exceed the
+rest by at most (k - 1) m,
 semigroup layers are swept as tuple sumsets, the basis-binomial oracle
 rebuilds every relation from ordered partition pairs, S-polynomials reduce as
 dicts of terms, the chain test compares frozensets, standard monomials are
@@ -191,6 +194,25 @@ def bridges_by_removal(g: Graph) -> set[int]:
         if len(reached) < g.vertex_count:
             bridges.add(skip)
     return bridges
+
+
+def even_on_cycles(cycles, z) -> bool:
+    """True iff z sums to an even number on every cycle, a list of edge ids."""
+    return all(sum(z[e] for e in cyc) % 2 == 0 for cyc in cycles)
+
+
+def meets_cycle_inequalities(cycles, z, m: int) -> bool:
+    """True iff every coordinate of z lies in 0..m and z meets each cycle's
+    odd-F inequalities z(F) - z(C minus F) <= (|F| - 1) m: for every odd k,
+    the cycle's k largest coordinates minus the rest total at most (k - 1) m."""
+    if not all(0 <= x <= m for x in z):
+        return False
+    for cyc in cycles:
+        values = sorted((z[e] for e in cyc), reverse=True)
+        for k in range(1, len(values) + 1, 2):
+            if sum(values[:k]) - sum(values[k:]) > (k - 1) * m:
+                return False
+    return True
 
 
 def sumset_layer_sizes(columns, max_dilate: int) -> list[int]:

@@ -32,7 +32,13 @@ from cutpoly.polynomial import (
     is_palindromic,
 )
 
-from oracles import bridges_by_removal, ehrhart_from_hstar, interpolated_value
+from oracles import (
+    bridges_by_removal,
+    ehrhart_from_hstar,
+    even_on_cycles,
+    interpolated_value,
+    meets_cycle_inequalities,
+)
 
 
 class TestCountSequence:
@@ -335,11 +341,11 @@ class TestLatticePointCounts:
         cases = [configuration(cycle(4)), configuration(cycle(5)), configuration(cycle(6)),
                  k23_config, configuration(k4)]
         for cfg in cases:
-            walk = ehrhart._CycleWalk(cfg.graph, fundamental_cycles(cfg.graph))
+            cycles = fundamental_cycles(cfg.graph)
             r = cfg.row_count - 1
             for m in (1, 2):
                 for prefix in itertools.product(range(m + 1), repeat=r):
-                    if not walk.admits(prefix, m):
+                    if not meets_cycle_inequalities(cycles, prefix, m):
                         assert not ehrhart._phase1(cfg.columns, prefix + (m,))
 
 
@@ -356,9 +362,9 @@ PRISM = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5)
 
 def _plain_count(cfg, m):
     """Lattice points of the box that the simplex puts in the m-th dilate."""
-    walk = ehrhart._CycleWalk(cfg.graph, fundamental_cycles(cfg.graph))
+    cycles = fundamental_cycles(cfg.graph)
     return sum(1 for z in itertools.product(range(m + 1), repeat=cfg.dimension)
-               if walk.in_lattice(z) and ehrhart._phase1(cfg.columns, z + (m,)))
+               if even_on_cycles(cycles, z) and ehrhart._phase1(cfg.columns, z + (m,)))
 
 
 def _count_simplex_calls(monkeypatch):
@@ -392,11 +398,25 @@ class TestLatticeWalk:
         cases.append((PETERSEN, 1))
         cases += [(g, 3) for g in _walk_graphs()]
         for g, top in cases:
-            walk = ehrhart._CycleWalk(g, fundamental_cycles(g))
+            cycles = fundamental_cycles(g)
+            walk = ehrhart._CycleWalk(g, cycles)
             for m in range(top + 1):
                 box = [z for z in itertools.product(range(m + 1), repeat=g.edge_count)
-                       if walk.in_lattice(z) and walk.admits(z, m)]
+                       if even_on_cycles(cycles, z) and meets_cycle_inequalities(cycles, z, m)]
                 assert walk.count(m) == len(box), (g, m)
+
+    def test_holds_is_the_cycle_rule(self):
+        # the walk's rule, read point by point, is the parity and odd-F rule
+        # of its family on every box point, in the lattice or not
+        tail = Graph(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
+        for g in (cycle(4), cycle(5), K4, complete_bipartite(2, 3), tail):
+            for cycles in (fundamental_cycles(g), ehrhart._chordless_cycles(g)):
+                walk = ehrhart._CycleWalk(g, cycles)
+                for m in range(3):
+                    for z in itertools.product(range(m + 1), repeat=g.edge_count):
+                        assert walk.holds(z, m) == (even_on_cycles(cycles, z) and
+                                                    meets_cycle_inequalities(cycles, z, m)), \
+                            (g, m, z)
 
 
 class TestCertificates:
@@ -406,10 +426,10 @@ class TestCertificates:
     def test_counts_match_a_plain_per_point_count(self):
         for g in _walk_graphs() + [K4, cycle(5), complete_bipartite(2, 3)]:
             cfg = configuration(g)
-            walk = ehrhart._CycleWalk(g, fundamental_cycles(g))
+            cycles = fundamental_cycles(g)
             for m in range(5):
                 plain = sum(1 for z in itertools.product(range(m + 1), repeat=g.edge_count)
-                            if walk.in_lattice(z) and walk.admits(z, m)
+                            if even_on_cycles(cycles, z) and meets_cycle_inequalities(cycles, z, m)
                             and ehrhart._phase1(cfg.columns, z + (m,)))
                 assert count_lattice_points(cfg, m) == plain, (g, m)
 
@@ -440,6 +460,35 @@ class TestCertificates:
         with pytest.raises(VerificationError, match="disagree"):
             count_lattice_points(c4_config, 2)
 
+    def test_a_widened_walk_is_refused(self, monkeypatch):
+        # the spot check asks the walk's own rule: with every closed range
+        # widened to the box (parity kept) the walk overcounts C_5 at dilate
+        # 2, and the simplex refuses a spot point the widened rule holds
+        values = ehrhart._closing_values
+
+        def widened(rests, m, strict=False):
+            found = values(rests, m, strict)
+            return found if strict or not found else range(found.start % found.step, m + 1,
+                                                           found.step)
+
+        monkeypatch.setattr(ehrhart, "_closing_values", widened)
+        with pytest.raises(VerificationError, match="disagree"):
+            count_lattice_points(configuration(cycle(5)), 2)
+
+    def test_a_forest_draws_no_spot_columns(self, monkeypatch):
+        # a forest's one column makes every spot point the origin, so no
+        # column is drawn at any dilate
+        drawn = []
+        for name in ("choice", "choices"):
+            def logged(self, *args, name=name, draw=getattr(random.Random, name), **kwargs):
+                drawn.append(name)
+                return draw(self, *args, **kwargs)
+
+            monkeypatch.setattr(random.Random, name, logged)
+        cfg = configuration(path(3))
+        assert [count_lattice_points(cfg, m) for m in range(6)] == [(m + 1) ** 3 for m in range(6)]
+        assert drawn == []
+
     def test_inequality_rule_matches_the_simplex(self):
         # every lattice point of the box, accepted or not; in K_4 and K_{2,3}
         # some chordless cycles are not fundamental
@@ -450,13 +499,14 @@ class TestCertificates:
         cases += [(g, 2) for g in _walk_graphs()]
         for g, top in cases:
             cfg = configuration(g)
-            rule = ehrhart._CycleWalk(g, ehrhart._chordless_cycles(g))
+            cycles = ehrhart._chordless_cycles(g)
+            rule = ehrhart._CycleWalk(g, cycles)
             for m in range(top + 1):
                 inside = 0
                 for z in itertools.product(range(m + 1), repeat=g.edge_count):
-                    if not rule.in_lattice(z):
+                    if not even_on_cycles(cycles, z):
                         continue
-                    admitted = rule.admits(z, m)
+                    admitted = meets_cycle_inequalities(cycles, z, m)
                     assert admitted == ehrhart._phase1(cfg.columns, z + (m,)), (g, m, z)
                     inside += admitted
                 assert rule.count(m) == inside, (g, m)
@@ -608,7 +658,7 @@ class TestCertificates:
         # the route is refused before it is built
         cfg = configuration(K5)
         twos = (2,) * K5.edge_count
-        assert ehrhart._CycleWalk(K5, ehrhart._chordless_cycles(K5)).admits(twos, 3)
+        assert meets_cycle_inequalities(ehrhart._chordless_cycles(K5), twos, 3)
         assert not ehrhart._phase1(cfg.columns, twos + (3,))
         calls = _count_simplex_calls(monkeypatch)
         for m in range(3):

@@ -718,6 +718,25 @@ class TestInterchange:
                 assert side == sorted(side)
                 assert 1 not in side  # encoding is the side without vertex 1
 
+    def test_payloads_share_no_list(self):
+        # a call shares one list per variable across its binomials, but two
+        # calls share none, and mutating one leaves the other and the table's
+        # encodings and names intact
+        basis = generate_gb(5)
+        first, second = basis_payload(basis), basis_payload(basis)
+        assert first == second
+        ids = {id(side) for item in first for side in item["lead"] + item["trail"]}
+        assert not ids & {id(side) for item in second for side in item["lead"] + item["trail"]}
+        for item in first:
+            for side in item["lead"] + item["trail"]:
+                side.append(99)
+        assert second == basis_payload(basis)
+        assert all(99 not in side for item in second for side in item["lead"] + item["trail"])
+        table = variable_table(5)
+        assert [format_binomial(b) for b in basis] == [
+            " - ".join("*".join("q(" + ",".join(map(str, table.encode(i))) + ")" for i in side)
+                       for side in (b.lead, b.trail)) for b in basis]
+
     def test_format_binomial(self):
         b = generate_gb(4)[0]
         text = format_binomial(b)
