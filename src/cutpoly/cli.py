@@ -75,7 +75,7 @@ def _refuse_unwritable(path) -> None:
         raise OSError(f"cannot write {path}")
 
 
-def _graph_from_args(args) -> tuple[Graph, dict]:
+def _graph_from_args(args) -> tuple:
     from .graph import complete_bipartite, cycle, path, read_edge_list
     if args.cycle is not None:
         g, descriptor = cycle(args.cycle), {"kind": "cycle"}

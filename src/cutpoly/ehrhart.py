@@ -22,9 +22,9 @@ disagreements are surfaced, never masked.
 from __future__ import annotations
 
 import json
-import math
 import random
 from functools import lru_cache
+from itertools import accumulate
 from operator import itemgetter
 
 from .errors import CostGuardError, VerificationError, shown
@@ -508,36 +508,31 @@ def check_lp_cost(cfg, max_dilate: int | None = None) -> tuple[int, int]:
     return A, B
 
 
-def _reciprocal_counts(d: int, M: int, closed, interior) -> tuple[int, ...]:
+def _reciprocal_counts(d: int, closed, interior) -> tuple[int, ...]:
     """i(P, m) for m = 0..M of a d-dimensional lattice polytope P, given
     closed[m] = i(P, m) for m = 0..A and interior[m-1] = i(P°, m) for
-    m = 1..B, with A + B >= d or B = 0.
+    m = 1..B, with M = A + B >= d or B = 0.
 
-    i(P, m) = sum_j h*_j C(m-j+d, d) is a polynomial E(m) of degree d, and
-    by Ehrhart-Macdonald reciprocity i(P°, m) = (-1)^d E(-m) = sum_j h*_j
-    C(m-1+j, d) (Beck-Robins, *Computing the Continuous Discretely*, ch. 4).
-    So the counts give E at the M+1 integers -B..A.  Any d+1 consecutive
-    values fix E (as h*, the closed counts fix h*_0, h*_1, ... and the
-    interior ones h*_d, h*_(d-1), ..., both systems triangular over the
-    integers), and each of the M-d others is a spare equation: its (d+1)-th
-    difference with the d+1 values before it must vanish, the recurrence
-    `hstar_from_counts` checks past dilate d.  VerificationError names the
-    first count that breaks one; the same recurrence then extends E through
-    dilate M.  With B = 0 the closed counts come back as they are, checked.
+    i(P, m) is a polynomial E(m) of degree d, and by Ehrhart-Macdonald
+    reciprocity i(P°, m) = (-1)^d E(-m) (Beck-Robins, *Computing the
+    Continuous Discretely*, ch. 4).  So the counts give E(-B..A), whose
+    `_difference` of order d+1 vanishes past entry d, as `hstar_from_counts`
+    checks: VerificationError names the first count that breaks it.  E
+    through dilate M is d+1 running sums of that difference and B zeros.
     """
     values = [(-1) ** d * count for count in reversed(interior)] + closed
-    row = [(-1) ** j * math.comb(d + 1, j) for j in range(1, d + 2)]
-    for k in range(d + 1, len(interior) + M + 1):
-        fitted = -sum(c * values[k - j] for j, c in enumerate(row, 1))
-        if k == len(values):
-            values.append(fitted)
-        elif values[k] != fitted:
+    difference = _difference(values, d + 1)
+    for k in range(d + 1, len(values)):
+        if difference[k]:
             m = k - len(interior)
             raise VerificationError(
                 f"the {'closed' if m >= 0 else 'interior'} count of dilate {abs(m)} breaks "
                 f"Ehrhart reciprocity: E({m}) = {values[k]}, but the {d + 1} values "
-                f"before it give {fitted}")
-    return tuple(values[len(interior):])
+                f"before it give {values[k] - difference[k]}")
+    difference += [0] * len(interior)
+    for _ in range(d + 1):
+        difference = list(accumulate(difference))
+    return tuple(difference[len(interior):])
 
 
 def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
@@ -553,32 +548,37 @@ def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
     closed = [count_lattice_points(cfg, m=m) for m in range(A + 1)]
     walk, d = _lp_route(cfg.graph)[0], cfg.dimension
     interior = [walk.count(m, strict=True) for m in range(1, B + 1)]
-    return CountSequence(dimension=d, counts=_reciprocal_counts(d, A + B, closed, interior))
+    return CountSequence(dimension=d, counts=_reciprocal_counts(d, closed, interior))
 
 
 # ---------------------------------------------------------------------------
 # counts <-> h*-polynomial
 # ---------------------------------------------------------------------------
 
-def hstar_from_counts(cs: CountSequence) -> IntPolynomial:
-    """h*-polynomial from dilate counts: the numerator of the Ehrhart series.
+def _difference(values, times: int) -> list[int]:
+    """(1-x)^times * sum values[m] x^m through x^(len(values)-1): `times`
+    passes of first differences, the entry before the first read as 0."""
+    values = list(values)
+    for _ in range(times):
+        values = [b - a for a, b in zip([0] + values, values)]
+    return values
 
-    h*_i = sum_j (-1)^j C(d+1, j) i(P, i-j) for i = 0..d.  Counts beyond the
-    dimension must transform to zero; a negative coefficient or a nonzero
-    trailing value signals a counting bug or insufficient data and raises.
+
+def hstar_from_counts(cs: CountSequence) -> IntPolynomial:
+    """h*-polynomial from dilate counts: the numerator of the Ehrhart series,
+    h*(x) = (1-x)^(d+1) sum_m i(P, m) x^m (Beck-Robins, ch. 4), read as the
+    first d+1 entries of `_difference` of the counts.  A negative one, or a
+    nonzero later entry, signals a counting bug or insufficient data and
+    raises at the first met.
     """
-    d, counts, coeffs = cs.dimension, cs.counts, []
-    row = [(-1) ** j * math.comb(d + 1, j) for j in range(d + 2)]
-    for i in range(len(counts)):
-        value = sum(c * counts[i - j] for j, c in enumerate(row[:i + 1]))
-        if i <= d:
-            if value < 0:
-                raise VerificationError(f"h*_{i} = {value} negative; counts inconsistent")
-            coeffs.append(value)
-        elif value != 0:
+    d, difference = cs.dimension, _difference(cs.counts, cs.dimension + 1)
+    for i, value in enumerate(difference):
+        if i <= d and value < 0:
+            raise VerificationError(f"h*_{i} = {value} negative; counts inconsistent")
+        if i > d and value:
             raise VerificationError(
                 f"transform of count at dilate {i} is {value}, expected 0; counts inconsistent")
-    return IntPolynomial(coeffs)
+    return IntPolynomial(difference[:d + 1])
 
 
 def hstar_polynomial(cfg, method: str = "semigroup",

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own algorithms: ranks and
 determinants run rational Gaussian elimination, Stirling numbers enumerate set
 partitions, lattice membership does a bounded exhaustive coefficient search,
 Eulerian polynomials count descents over all permutations, dilate counts are
-read back off an h*-polynomial or extended to negative dilates by Lagrange
-interpolation, trees are built from explicit edge lists,
+read back off an h*-polynomial, convolved into one with a signed binomial row
+or extended to negative dilates by Lagrange interpolation, trees are built
+from explicit edge lists,
 fundamental cycles climb parent pointers to the endpoints' common ancestor,
 bridges are the edges without which a search from vertex 1 misses a vertex,
 a point meets a cycle's parity and odd-F inequalities when its sum on the
@@ -120,6 +121,15 @@ def ehrhart_from_hstar(h: IntPolynomial, d: int, m: int) -> int:
     if m < 0:
         raise ValueError("dilate must be nonnegative")
     return sum(h.coefficient(i) * math.comb(m + d - i, d) for i in range(d + 1))
+
+
+def hstar_by_signed_row(counts, d: int) -> list[int]:
+    """(1-x)^(d+1) sum_m counts[m] x^m through x^(len(counts)-1): entry i is
+    sum_j (-1)^j C(d+1, j) counts[i-j], the signed binomial row convolved
+    with the counts."""
+    row = [(-1) ** j * math.comb(d + 1, j) for j in range(d + 2)]
+    return [sum(c * counts[i - j] for j, c in enumerate(row[:i + 1]))
+            for i in range(len(counts))]
 
 
 def interpolated_value(values, x: int) -> Fraction:

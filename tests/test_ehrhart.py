@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,6 +37,7 @@ from oracles import (
     bridges_by_removal,
     ehrhart_from_hstar,
     even_on_cycles,
+    hstar_by_signed_row,
     interpolated_value,
     meets_cycle_inequalities,
 )
@@ -804,7 +806,7 @@ class TestReciprocity:
         # the unit square: i(P, m) = (m+1)^2 and i(P°, m) = (m-1)^2, so
         # E(-4..4) = 9, 4, 1, 0, 1, 4, 9, 16, 25; the values are checked
         # from the fourth on, each against the three before it
-        assert ehrhart._reciprocal_counts(2, 8, [1, 4, 9, 16, 25], [0, 1, 4, 9]) == \
+        assert ehrhart._reciprocal_counts(2, [1, 4, 9, 16, 25], [0, 1, 4, 9]) == \
             tuple((m + 1) ** 2 for m in range(9))
         for closed, interior, message in (
                 ([1, 4, 9, 17, 25], [0, 1, 4, 9],
@@ -814,11 +816,74 @@ class TestReciprocity:
                  "the interior count of dilate 1 breaks Ehrhart reciprocity: E(-1) = 1, "
                  "but the 3 values before it give 0")):
             with pytest.raises(VerificationError) as exc:
-                ehrhart._reciprocal_counts(2, 8, closed, interior)
+                ehrhart._reciprocal_counts(2, closed, interior)
             assert str(exc.value) == message
 
 
+def _outcome(transform, *args):
+    """What the transform returns, or the message of its VerificationError."""
+    try:
+        return transform(*args)
+    except VerificationError as exc:
+        return str(exc)
+
+
+def _predicted_hstar(d, counts):
+    """`hstar_from_counts` as the signed-row oracle reads it."""
+    row = hstar_by_signed_row(counts, d)
+    for i, value in enumerate(row):
+        if i <= d and value < 0:
+            return f"h*_{i} = {value} negative; counts inconsistent"
+        if i > d and value:
+            return f"transform of count at dilate {i} is {value}, expected 0; counts inconsistent"
+    return IntPolynomial(row[:d + 1])
+
+
+def _predicted_reciprocal(d, closed, interior):
+    """`_reciprocal_counts` by Lagrange interpolation: each value of E(-B..A)
+    past the first d+1 must be the one the d+1 values before it fit."""
+    values = [(-1) ** d * count for count in reversed(interior)] + closed
+    for k in range(d + 1, len(values)):
+        fitted = interpolated_value(values[k - d - 1:k], d + 1)
+        if values[k] != fitted:
+            m = k - len(interior)
+            return (f"the {'closed' if m >= 0 else 'interior'} count of dilate {abs(m)} breaks "
+                    f"Ehrhart reciprocity: E({m}) = {values[k]}, but the {d + 1} values "
+                    f"before it give {fitted}")
+    return tuple(int(interpolated_value(values[:d + 1], len(interior) + m))
+                 for m in range(len(closed) + len(interior)))
+
+
 class TestHstarTransforms:
+    def test_seeded_transforms_match_the_oracles(self):
+        # counts of a random h* of degree <= d through dilate M, read by both
+        # transforms, then each closed or interior count moved by a nonzero
+        # amount in turn: the transforms return, or raise, what the oracles
+        # predict.  The counts enter hstar_from_counts as a bare record, so
+        # that no perturbation is refused by CountSequence's own checks.
+        rng = random.Random(30)
+        for d in range(9):
+            for M in range(d, d + 6):
+                h = IntPolynomial([1] + [rng.randint(0, 4) for _ in range(d)])
+                counts = [ehrhart_from_hstar(h, d, m) for m in range(M + 1)]
+                assert hstar_from_counts(CountSequence(d, counts)) == h
+                for at in range(M + 1):
+                    moved = counts[:]
+                    moved[at] += rng.choice((-2, -1, 1, 3))
+                    assert _outcome(hstar_from_counts, SimpleNamespace(dimension=d, counts=moved)) \
+                        == _predicted_hstar(d, moved), (d, M, at)
+                for B in (0, rng.randint(1, M)) if M else (0,):
+                    closed = counts[:M - B + 1]
+                    interior = [(-1) ** d * int(interpolated_value(counts[:d + 1], -m))
+                                for m in range(1, B + 1)]
+                    assert ehrhart._reciprocal_counts(d, closed, interior) == tuple(counts)
+                    for side, at in [(0, at) for at in range(len(closed))] + \
+                            [(1, at) for at in range(B)]:
+                        moved = [closed[:], interior[:]]
+                        moved[side][at] += rng.choice((-2, -1, 1, 3))
+                        assert _outcome(ehrhart._reciprocal_counts, d, *moved) == \
+                            _predicted_reciprocal(d, *moved), (d, M, B, side, at)
+
     def test_k23_reproduces_published_hstar(self, k23_counts):
         assert hstar_from_counts(k23_counts).coeffs == (1, 9, 26, 26, 9, 1)
 

@@ -4,11 +4,14 @@ frozen-record contract of the result types."""
 import copy
 import dataclasses
 import importlib.util
+import inspect
 import json
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -95,6 +98,27 @@ class TestBenchJobNames:
         for span, (module, attr) in job.LAYERS.items():
             assert callable(getattr(modules[module], attr, None)), span
         assert callable(modules["lattice"].LatticeBasis.contains)
+
+
+class TestAnnotations:
+    def test_every_annotation_resolves(self):
+        # the modules postpone annotations, so a name none of them imports
+        # fails only when the hints are read: every function, method and
+        # property defined in cutpoly.* must resolve
+        unresolved = []
+        for info in [None, *pkgutil.iter_modules(cutpoly.__path__)]:
+            module = importlib.import_module(f"cutpoly.{info.name}" if info else "cutpoly")
+            for value in list(vars(module).values()):
+                if getattr(value, "__module__", None) != module.__name__:
+                    continue
+                for member in vars(value).values() if inspect.isclass(value) else [value]:
+                    member = getattr(member, "__func__", getattr(member, "fget", member))
+                    if inspect.isfunction(inspect.unwrap(member)):
+                        try:
+                            typing.get_type_hints(member)
+                        except NameError as exc:
+                            unresolved.append(f"{module.__name__}.{member.__qualname__}: {exc}")
+        assert unresolved == []
 
 
 RECORDS = [
