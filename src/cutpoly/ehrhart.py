@@ -555,10 +555,25 @@ def lattice_point_counts(cfg, max_dilate: int | None = None) -> CountSequence:
 # counts <-> h*-polynomial
 # ---------------------------------------------------------------------------
 
+# Bit operations the counts-to-h* transform may be charged before it is
+# refused: the d = 2500 simplex's counts are charged about 4.7e10 (1.2 s in
+# process on a 2-vCPU VM), d = 20000 ones about 8.0e12.
+TRANSFORM_BIT_LIMIT = 10 ** 11
+
+
 def _difference(values, times: int) -> list[int]:
     """(1-x)^times * sum values[m] x^m through x^(len(values)-1): `times`
-    passes of first differences, the entry before the first read as 0."""
+    passes of first differences, the entry before the first read as 0.
+
+    A pass at most doubles an entry, so with B the largest entry's bit length
+    the passes take at most times * len(values) * (B + times) bit operations;
+    CostGuardError refuses more than TRANSFORM_BIT_LIMIT before the first pass."""
     values = list(values)
+    cost = times * len(values) * (max(map(abs, values), default=0).bit_length() + times)
+    if cost > TRANSFORM_BIT_LIMIT:
+        raise CostGuardError(
+            f"counts-to-h* transform refused: {shown(cost)} bit operations estimated for "
+            f"{times} passes over {len(values)} values, over the limit {TRANSFORM_BIT_LIMIT}")
     for _ in range(times):
         values = [b - a for a, b in zip([0] + values, values)]
     return values

@@ -7,6 +7,8 @@ fixes the coordinate order of every cut vector.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import CostGuardError, EdgeListParseError, VerificationError, as_mask, ascii_int
 from .record import FrozenRecord
 
@@ -86,9 +88,15 @@ class Graph:
 
 
 class CutConfiguration(FrozenRecord):
-    """Matrix whose columns are the cut vectors with an appended coordinate 1."""
+    """Matrix whose columns are the cut vectors of its graph with an appended
+    coordinate 1.  It holds the graph only: `columns` are built on their first
+    read, so a route that reads the graph alone builds none."""
 
-    __slots__ = ("columns", "graph")  # tuple[tuple[int, ...], ...], Graph
+    __slots__ = ("graph",)  # Graph
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        return _columns(self.graph)
 
     @property
     def row_count(self) -> int:
@@ -131,8 +139,6 @@ def cut_polytope_vertices(g: Graph) -> list[tuple[int, ...]]:
     containing vertex 1.  Refused before the first vector when the
     configuration would hold more than CONFIGURATION_ENTRY_LIMIT entries.
     """
-    if g.vertex_count < 2:
-        raise ValueError("cut polytope needs at least 2 vertices")
     entries = (1 << (g.vertex_count - 1)) * (g.edge_count + 1)
     if entries > CONFIGURATION_ENTRY_LIMIT:
         raise CostGuardError(f"configuration refused for {g.vertex_count} vertices and "
@@ -146,10 +152,18 @@ def cut_polytope_vertices(g: Graph) -> list[tuple[int, ...]]:
     return vertices
 
 
+@lru_cache(maxsize=1)
+def _columns(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The cut vectors of g as matrix columns with a final all-ones row
+    appended, built once for the configurations of an equal graph."""
+    return tuple(v + (1,) for v in cut_polytope_vertices(g))
+
+
 def configuration(g: Graph) -> CutConfiguration:
-    """Cut vectors of g as matrix columns with a final all-ones row appended."""
-    cols = tuple(v + (1,) for v in cut_polytope_vertices(g))
-    return CutConfiguration(columns=cols, graph=g)
+    """The configuration of g, its columns unbuilt (ValueError below 2 vertices)."""
+    if g.vertex_count < 2:
+        raise ValueError("cut polytope needs at least 2 vertices")
+    return CutConfiguration(g)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,6 @@ import math
 from functools import lru_cache
 
 
-# Shortest operand at which `IntPolynomial.__mul__` multiplies by Kronecker
-# substitution rather than by the schoolbook loop: on Python 3.11 (2-vCPU VM)
-# the two cost about the same at 24 coefficients a side, for coefficients of
-# 4 to 1200 bits, and Kronecker substitution wins from there on.
-KRONECKER_MIN_LENGTH = 24
-
-
 def _kronecker_product(a, b) -> list[int]:
     """Coefficients of the product of two nonzero coefficient tuples by
     Kronecker substitution, p(2^w) * q(2^w) = (p * q)(2^w).
@@ -108,21 +101,13 @@ class IntPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        """Exact product: the schoolbook double loop, or from
-        KRONECKER_MIN_LENGTH coefficients on both sides one big-integer
-        product by Kronecker substitution (a squaring for `p * p`)."""
+        """Exact product: one big-integer product by Kronecker substitution
+        (a squaring for `p * p`), whatever the lengths and signs."""
         if isinstance(other, int):
             return IntPolynomial(tuple(other * c for c in self.coeffs))
         if not self.coeffs or not other.coeffs:
             return IntPolynomial(())
-        if min(len(self.coeffs), len(other.coeffs)) >= KRONECKER_MIN_LENGTH:
-            return IntPolynomial(_kronecker_product(self.coeffs, other.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(_kronecker_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -251,7 +236,8 @@ def hstar_closed_form_k2m(n: int) -> IntPolynomial:
     if n < 4:
         raise ValueError("closed form needs n >= 4")
     a = eulerian(n - 2)
-    return IntPolynomial((1, 1)) * (a * a)
+    square = a * a
+    return square + square.shifted(1)
 
 
 def is_palindromic(p: IntPolynomial) -> bool:

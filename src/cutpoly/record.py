@@ -37,7 +37,7 @@ class FrozenRecord:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values(self)
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError

@@ -1,6 +1,6 @@
 import pytest
 
-from cutpoly import ehrhart
+from cutpoly import ehrhart, graph
 from cutpoly.graph import complete_bipartite, configuration, cycle, path
 from cutpoly.lattice import lattice_basis
 from cutpoly.ehrhart import semigroup_counts
@@ -39,9 +39,11 @@ def k23_counts(k23_config):
 
 @pytest.fixture(autouse=True)
 def fresh_lp_route():
-    """Each test builds its own LP route: one cached for an equal graph by an
-    earlier test would bypass a test's patches of the pieces that build it."""
+    """Each test builds its own LP route and configuration columns: ones
+    cached for an equal graph by an earlier test would bypass a test's patches
+    of the pieces that build them."""
     ehrhart._lp_route.cache_clear()
+    graph._columns.cache_clear()
 
 
 @pytest.fixture

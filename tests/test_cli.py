@@ -206,13 +206,17 @@ class TestHstar:
         assert hstar == [1, 120, 1191, 2416, 1191, 120, 1]
 
     def test_configuration_guard(self, capsys):
-        # K_{10,10}'s 2^19 cut vectors of 101 entries are refused before the first
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "hstar", "--kbipartite", "10", "10")
-        assert time.perf_counter() - start < 1
-        assert code == EXIT_COST_GUARD
-        assert out == ""
-        assert "52953088 entries estimated, limit 4194304" in err
+        # K_{10,10}'s 2^19 cut vectors of 101 entries are refused before the
+        # first; the LP route reads no cut vector and refuses it by its own bound
+        for argv, refusal in ((("vertices",), "52953088 entries estimated, limit 4194304"),
+                              (("hstar",), "52953088 entries estimated, limit 4194304"),
+                              (("hstar", "--method", "lp"), "lp route refused: 100 edges on cycles"),
+                              (("hstar", "--method", "both"), "lp route refused: 100 edges on cycles")):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, argv[0], "--kbipartite", "10", "10", *argv[1:])
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (EXIT_COST_GUARD, ""), argv
+            assert refusal in err, argv
 
     def test_lp_cost_guard(self, capsys):
         # K_{3,3}: an exact walk over 8 of its 9 edges, closed dilates 0..5
@@ -365,6 +369,19 @@ class TestHstar:
                                   "command: hstar\n"), flags
             assert "\nagreement: FAIL\n" in err, flags
             assert "\nresults.lp.coefficients: 1 3 3 2\n" in err, flags
+
+    def test_from_counts_transform_guard(self, capsys, tmp_path):
+        # d = 20000 ones (60 KB) are charged about 8.0e12 bit operations by the
+        # transform and refused before its first pass
+        counts_file = tmp_path / "ones.json"
+        counts_file.write_text(json.dumps({"dimension": 20000, "counts": [1] * 20002}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "hstar", "--from-counts", str(counts_file))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_COST_GUARD, "")
+        assert err == ("cost guard: counts-to-h* transform refused: 8002000160004 bit operations "
+                       "estimated for 20001 passes over 20002 values, over the limit "
+                       "100000000000\n")
 
     def test_from_counts_malformed_file(self, capsys, tmp_path):
         counts_file = tmp_path / "bad.json"

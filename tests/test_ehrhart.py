@@ -1,11 +1,13 @@
 import itertools
+import json
 import random
 import time
 from types import SimpleNamespace
 
 import pytest
 
-from cutpoly import ehrhart
+from cutpoly import cli, ehrhart
+from cutpoly import graph as graph_module
 from cutpoly.errors import CostGuardError, VerificationError
 from cutpoly.ehrhart import (
     CountSequence,
@@ -112,15 +114,14 @@ class TestPackedSumset:
                 [(m + 1) ** 3 for m in range(M + 1)]
 
     def test_rejects_columns_it_cannot_pack(self, c4_config):
+        # C_4's columns at its default budget, dilate 5, broken three ways
         cols = c4_config.columns
         assert cols[0] == (0, 0, 0, 0, 1)
-        no_zero = CutConfiguration(columns=cols[1:], graph=c4_config.graph)
         with pytest.raises(VerificationError):
-            semigroup_counts(no_zero)
+            ehrhart._semigroup_layer_sizes(cols[1:], 5)
         for bad in ((2,) + cols[1][1:], cols[1][:-1] + (0,)):
-            broken = CutConfiguration(columns=(cols[0], bad) + cols[2:], graph=c4_config.graph)
             with pytest.raises(ValueError):
-                semigroup_counts(broken)
+                ehrhart._semigroup_layer_sizes((cols[0], bad) + cols[2:], 5)
 
     def test_cost_guard_refuses_before_the_layer(self, monkeypatch, k23_config, layers_built):
         # at its default budget (dilate 7) K_{2,3} shifts an estimated
@@ -289,6 +290,21 @@ class TestLatticePointCounts:
             semi = semigroup_counts(cfg)
             lp = lattice_point_counts(cfg)
             assert semi == lp, g
+
+    def test_builds_no_cut_vector(self, monkeypatch, capsys):
+        # the route reads the graph alone: path(20), whose 2^19 columns of 21
+        # entries the configuration guard refuses, is counted with no cut
+        # vector built, to h* = A_20
+        def refuse(g):
+            raise AssertionError(f"cut vectors of {g} built")
+
+        monkeypatch.setattr(graph_module, "cut_polytope_vertices", refuse)
+        cfg = configuration(path(20))
+        assert count_lattice_points(cfg, 2) == 3 ** 20
+        assert hstar_from_counts(lattice_point_counts(cfg)) == eulerian(20)
+        assert cli.main(["hstar", "--path", "20", "--method", "lp", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["lp"]["coefficients"] == list(eulerian(20).coeffs)
 
     def test_c4_dilate_two_matches_semigroup(self, c4_config):
         assert count_lattice_points(c4_config, 2) == \
@@ -883,6 +899,21 @@ class TestHstarTransforms:
                         moved[side][at] += rng.choice((-2, -1, 1, 3))
                         assert _outcome(ehrhart._reciprocal_counts, d, *moved) == \
                             _predicted_reciprocal(d, *moved), (d, M, B, side, at)
+
+    def test_transform_guard_refuses_before_the_first_pass(self, monkeypatch):
+        # d+1 passes over the counts, each entry at most doubling: the d = 2
+        # simplex's counts 1, 3, 6, 10 are charged 3 * 4 * (4 + 3) = 84 bit
+        # operations, by either transform
+        cs = CountSequence(dimension=2, counts=(1, 3, 6, 10))
+        monkeypatch.setattr(ehrhart, "TRANSFORM_BIT_LIMIT", 84)
+        assert hstar_from_counts(cs) == IntPolynomial([1])
+        assert ehrhart._reciprocal_counts(2, [1, 3, 6, 10], []) == cs.counts
+        monkeypatch.setattr(ehrhart, "TRANSFORM_BIT_LIMIT", 83)
+        for transform, args in ((hstar_from_counts, (cs,)),
+                                (ehrhart._reciprocal_counts, (2, [1, 3, 6, 10], []))):
+            with pytest.raises(CostGuardError, match="84 bit operations estimated for 3 passes "
+                                                     "over 4 values, over the limit 83"):
+                transform(*args)
 
     def test_k23_reproduces_published_hstar(self, k23_counts):
         assert hstar_from_counts(k23_counts).coeffs == (1, 9, 26, 26, 9, 1)

@@ -4,8 +4,10 @@ import time
 
 import pytest
 
+from cutpoly import graph as graph_module
 from cutpoly.errors import CostGuardError, EdgeListParseError, as_mask
 from cutpoly.graph import (
+    CutConfiguration,
     Graph,
     complete_bipartite,
     configuration,
@@ -181,13 +183,28 @@ class TestConfiguration:
 
     def test_entry_guard_refuses_before_the_first_vector(self):
         # 2^(m-1) columns of |E| + 1 entries: path(12) holds 53,248 and is
-        # built; path(18) and K_{10,10} are refused over the limit 2^22
+        # built; path(18) and K_{10,10} are refused over the limit 2^22 when
+        # their columns are first read, the configuration itself built at once
         assert configuration(path(12)).column_count == 4096
         for g, entries in ((path(18), 4980736), (complete_bipartite(10, 10), 52953088)):
             start = time.perf_counter()
+            cfg = configuration(g)
+            assert cfg.graph is g and cfg.dimension == g.edge_count
             with pytest.raises(CostGuardError, match=f": {entries} entries estimated, limit 4194304"):
-                configuration(g)
+                cfg.columns
             assert time.perf_counter() - start < 1
+
+    def test_holds_only_its_graph(self, monkeypatch):
+        # the columns are built on their first read, once for equal graphs
+        built = []
+        vertices = graph_module.cut_polytope_vertices
+        monkeypatch.setattr(graph_module, "cut_polytope_vertices",
+                            lambda g: built.append(g) or vertices(g))
+        assert CutConfiguration.__slots__ == ("graph",)
+        cfg, other = configuration(cycle(4)), configuration(cycle(4))
+        assert built == []
+        assert cfg.columns is other.columns and cfg.column_count == 8
+        assert built == [cycle(4)]
 
     def test_k23_reference_matrix(self, k23_config):
         ref_cols = list(zip(*[list(map(int, row.split())) for row in K23_REFERENCE_ROWS]))

@@ -123,7 +123,7 @@ class TestAnnotations:
 
 RECORDS = [
     (CountSequence, {"dimension": 1, "counts": (1, 2, 3)}),
-    (CutConfiguration, {"columns": ((0, 1), (1, 1)), "graph": cycle(3)}),
+    (CutConfiguration, {"graph": cycle(3)}),
     (LatticeBasis, {"basis_columns": ((1, 0), (0, 2)), "pivot_rows": (0, 1)}),
     (CutBinomial, {"family": 1, "lead": PartitionMonomial(5, (2, 7)),
                    "trail": PartitionMonomial(5, (1, 8))}),

@@ -6,7 +6,6 @@ import pytest
 
 from cutpoly.errors import CostGuardError
 from cutpoly.polynomial import (
-    KRONECKER_MIN_LENGTH,
     IntPolynomial,
     eulerian,
     f_to_h,
@@ -34,7 +33,7 @@ class TestArithmetic:
         assert (one_plus_x - one_plus_x).coeffs == ()
         assert (3 * one_plus_x).coeffs == (3, 3)
         assert (one_plus_x ** 3).coeffs == (1, 3, 3, 1)
-        # the last squarings of (1 - x)^70 pass the Kronecker crossover
+        # (1 - x)^70 by repeated squaring of a signed polynomial
         assert (IntPolynomial([1, -1]) ** 70).coeffs == \
             tuple((-1) ** k * math.comb(70, k) for k in range(71))
         assert one_plus_x.shifted(2).coeffs == (0, 0, 1, 1)
@@ -64,7 +63,7 @@ class TestArithmetic:
 
 
 class TestProduct:
-    """`IntPolynomial.__mul__` on both sides of the Kronecker crossover, against
+    """`IntPolynomial.__mul__`, Kronecker substitution at every length, against
     the schoolbook oracle."""
 
     @staticmethod
@@ -75,8 +74,7 @@ class TestProduct:
 
     def test_seeded_signed_products(self):
         rng = random.Random(41)
-        lengths = [1, 2, 3, KRONECKER_MIN_LENGTH - 1, KRONECKER_MIN_LENGTH,
-                   KRONECKER_MIN_LENGTH + 1, 60]
+        lengths = [1, 2, 3, 23, 24, 25, 60]
         for bound in (1, 9, 2**31, 10**40):
             for la, lb in itertools.product(lengths, repeat=2):
                 a = self.random_coeffs(rng, la, bound)
@@ -89,7 +87,7 @@ class TestProduct:
 
     def test_one_sign_and_mixed_signs(self):
         rng = random.Random(43)
-        for length in (KRONECKER_MIN_LENGTH, 60):
+        for length in (24, 60):
             positive = [rng.randint(1, 10**40) for _ in range(length)]
             negative = [-c for c in positive]
             for a, b in itertools.product((positive, negative), repeat=2):
