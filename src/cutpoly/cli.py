@@ -162,18 +162,20 @@ def cmd_hstar(args) -> dict:
     return report
 
 
-def _refuse_unprintable(n: int, largest: int | None = None) -> None:
+def _refuse_unprintable(n: int, largest: int | None = None, bound: bool = False) -> None:
     """Refuse a report on K_{2,n-2} that would print an integer of more digits
-    than Python converts to text (`int_digit_limit`): `largest`, or by
-    default the normalized volume 2((n-2)!)^2, read off lgamma."""
+    than Python converts to text (`int_digit_limit`): `largest` (a lower
+    bound on the integer when `bound` is set), or by default the normalized
+    volume 2((n-2)!)^2, read off lgamma."""
     limit = int_digit_limit()
     digits = 1 + math.floor(math.log10(largest) if largest else
                             (math.log(2) + 2 * math.lgamma(n - 1)) / math.log(10))
     if digits > limit:
         setting = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         named = "sys.get_int_max_str_digits" if setting else "Python's default, no limit set"
-        raise CostGuardError(f"report refused for n = {n}: a {digits}-digit integer to "
-                             f"print, limit {limit} digits ({named})")
+        size = f"an integer of at least {digits} digits" if bound else f"a {digits}-digit integer"
+        raise CostGuardError(f"report refused for n = {n}: {size} to print, "
+                             f"limit {limit} digits ({named})")
 
 
 def cmd_closed_form(args) -> dict:
@@ -215,8 +217,13 @@ def cmd_gb(args) -> dict:
             raise VerificationError("Buchberger check failed:\n" + "".join(_text_chunks(report)))
         return report
     if args.action == "fvector":
-        # the volume is f's top entry; a middle entry may be longer
+        # the volume is f's top entry; a middle entry may be longer.  f = type1 *
+        # type2 has nonnegative coefficients, so its largest entry is at least
+        # max type1 * max type2 >= 2^(b1 + b2 - 2), b the largest bit lengths:
+        # that bound is refused before the product, the exact entry after it
         _refuse_unprintable(n)
+        bits = sum(max(c.coeffs).bit_length() - 1 for c in grobner.class_counts(n))
+        _refuse_unprintable(n, 1 << bits, bound=True)
         f = grobner.f_vector(n)
         _refuse_unprintable(n, max(f))
         h = f_to_h(f, 2 * n - 4)

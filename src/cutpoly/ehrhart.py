@@ -34,9 +34,11 @@ from .record import FrozenRecord
 
 
 def _budget(d: int, max_dilate: int | None = None) -> int:
-    """The dilate budget M (default d+1); ValueError when 0 <= M < d."""
+    """The dilate budget M (default d+1); ValueError when M < d."""
     M = d + 1 if max_dilate is None else max_dilate
-    if 0 <= M < d:
+    if M < 0:
+        raise ValueError("dilate must be nonnegative")
+    if M < d:
         raise ValueError(f"need counts through dilate {d}, have {M}")
     return M
 
@@ -114,8 +116,6 @@ def _semigroup_layer_sizes(columns, max_dilate: int) -> list[int]:
     SEMIGROUP_BIT_LIMIT; before layer 1 the same limit is checked against a
     lower bound on the whole sweep.
     """
-    if max_dilate < 0:
-        raise ValueError("dilate must be nonnegative")
     for col in columns:
         if len(col) != len(columns[0]) or col[-1] != 1 or not set(col) <= {0, 1}:
             raise ValueError(f"semigroup columns must be 0/1 with last entry 1, got {col!r}")

@@ -452,6 +452,17 @@ def _chain_term(n: int, j: int) -> int:
     return math.factorial(j) * stirling2(n - 2, j)
 
 
+@lru_cache(maxsize=1)
+def class_counts(n: int) -> tuple[IntPolynomial, IntPolynomial]:
+    """The two classes' count polynomials, sum_k count_type1(n, k) x^k and
+    sum_k count_type2(n, k) x^k, held for the last n so that a bound read off
+    them before `f_vector` costs no second computation."""
+    if n < 4:
+        raise ValueError("need n >= 4")
+    return (IntPolynomial(count_type1(n, k) for k in range(n)),
+            IntPolynomial(count_type2(n, k) for k in range(n - 1)))
+
+
 def f_vector(n: int) -> list[int]:
     """Face counts (f_{-1}, f_0, ..., f_{2n-4}) of the initial-complex triangulation.
 
@@ -459,10 +470,7 @@ def f_vector(n: int) -> list[int]:
     standard monomial into its two class factors: the coefficients of the
     product of the two classes' count polynomials, whose degree is 2n - 3.
     """
-    if n < 4:
-        raise ValueError("need n >= 4")
-    type1 = IntPolynomial(count_type1(n, k) for k in range(n))
-    type2 = IntPolynomial(count_type2(n, k) for k in range(n - 1))
+    type1, type2 = class_counts(n)
     return list((type1 * type2).coeffs)
 
 

@@ -41,7 +41,8 @@ def _kronecker_product(a, b) -> list[int]:
 
 
 class IntPolynomial:
-    """Dense integer-coefficient polynomial; index = exponent, no trailing zeros."""
+    """Dense integer-coefficient polynomial; index = exponent, no trailing zeros.
+    `+` and `*` take another IntPolynomial, and `==` holds only against one."""
 
     __slots__ = ("coeffs",)
 
@@ -69,16 +70,12 @@ class IntPolynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -87,41 +84,12 @@ class IntPolynomial:
             out[i] += c
         return IntPolynomial(out)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         """Exact product: one big-integer product by Kronecker substitution
         (a squaring for `p * p`), whatever the lengths and signs."""
-        if isinstance(other, int):
-            return IntPolynomial(tuple(other * c for c in self.coeffs))
         if not self.coeffs or not other.coeffs:
             return IntPolynomial(())
         return IntPolynomial(_kronecker_product(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = IntPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shifted(self, k: int) -> "IntPolynomial":
         """Multiply by x^k."""
@@ -133,13 +101,6 @@ class IntPolynomial:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def compose(self, inner: "IntPolynomial") -> "IntPolynomial":
-        """self(inner(x)), exact."""
-        acc = IntPolynomial(())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + IntPolynomial((c,))
         return acc
 
     def __repr__(self):

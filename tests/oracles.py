@@ -17,7 +17,8 @@ rebuilds every relation from ordered partition pairs, S-polynomials reduce as
 dicts of terms, the chain test compares frozensets, standard monomials are
 tested against that oracle's leads (all those of a degree filtered, the
 squarefree ones walked), the paper's Table 1 cells read Stirling numbers off
-set partitions, and polynomials multiply by the schoolbook double sum.
+set partitions, and polynomials multiply by the schoolbook double sum and
+compose by Horner's rule over it.
 """
 
 from fractions import Fraction
@@ -488,6 +489,18 @@ def poly_mul(a, b) -> list[int]:
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_compose(outer, inner) -> list[int]:
+    """Coefficients of outer(inner(x)) by Horner's rule over `poly_mul`,
+    trailing zeros dropped."""
+    out = []
+    for c in reversed(outer):
+        out = poly_mul(out, inner) or [0]
+        out[0] += c
     while out and out[-1] == 0:
         out.pop()
     return out

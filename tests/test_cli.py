@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cutpoly import cli, ehrhart, grobner
+from cutpoly import cli, ehrhart, graph, grobner
 from cutpoly.cli import (
     EXIT_COST_GUARD,
     EXIT_OK,
@@ -337,13 +337,18 @@ class TestHstar:
             assert code == EXIT_PARSE, method
             assert out == "" and "drop --method" in err
 
-    def test_negative_budget_is_a_usage_error(self, capsys):
-        # every route refuses it before any work, --method both too
-        for method in ("semigroup", "lp", "both"):
-            code, out, err = run_cli(capsys, "hstar", "--path", "3", "--method", method,
-                                     "--max-dilate", "-5")
-            assert (code, out) == (EXIT_PARSE, ""), method
-            assert err == "error: dilate must be nonnegative\n", method
+    def test_negative_budget_is_a_usage_error(self, capsys, monkeypatch):
+        # every route refuses it before any work, --method both too, and
+        # before it reads the graph: K_{10,10}'s cut vectors are never built
+        def build(g):
+            pytest.fail("cut vectors built")
+        monkeypatch.setattr(graph, "cut_polytope_vertices", build)
+        for flags in (("--path", "3", "--max-dilate", "-5"),
+                      ("--kbipartite", "10", "10", "--max-dilate", "-1")):
+            for method in ("semigroup", "lp", "both"):
+                code, out, err = run_cli(capsys, "hstar", *flags, "--method", method)
+                assert (code, out) == (EXIT_PARSE, ""), (flags, method)
+                assert err == "error: dilate must be nonnegative\n", (flags, method)
 
     def test_counts_out_that_cannot_be_written(self, capsys, tmp_path, monkeypatch):
         # refused before the graph is counted: a missing directory or a directory
@@ -535,18 +540,35 @@ class TestGb:
             assert f"a {digits}-digit integer to print, limit {limit} digits" in err
 
     def test_digit_guard_reads_the_longest_f_vector_entry(self, capsys):
-        # under a 640-digit limit n = 175's volume (628 digits) prints, but the
-        # largest entry of its f-vector (682 digits) does not
+        # n = 175's volume (628 digits) prints under a 640-digit limit, but
+        # the largest entry of its f-vector (682 digits) does not: at 640 the
+        # classes' bound (681 digits) refuses it before their product, at 681
+        # the bound passes and the exact entry is refused after it
+        cases = ((640, "an integer of at least 681 digits"), (681, "a 682-digit integer"))
         limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
         try:
-            assert run_cli(capsys, "closed-form", "175")[0] == EXIT_OK
-            code, out, err = run_cli(capsys, "gb", "175", "fvector")
+            for setting, size in cases:
+                sys.set_int_max_str_digits(setting)
+                assert run_cli(capsys, "closed-form", "175")[0] == EXIT_OK
+                code, out, err = run_cli(capsys, "gb", "175", "fvector")
+                assert (code, out) == (EXIT_COST_GUARD, ""), setting
+                assert f"{size} to print, limit {setting} digits" in err, setting
         finally:
             sys.set_int_max_str_digits(limit)
-        assert code == EXIT_COST_GUARD
-        assert out == ""
-        assert "a 682-digit integer to print, limit 640 digits" in err
+
+    def test_f_vector_refused_before_the_class_product(self, capsys, monkeypatch):
+        # n = 818's volume prints, but the classes' maxima already multiply
+        # to more digits than the default limit: the product (about 5 s) is
+        # never formed
+        def product(self, other):
+            pytest.fail("class product formed")
+        monkeypatch.setattr(IntPolynomial, "__mul__", product)
+        limit = sys.get_int_max_str_digits()
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gb", "818", "fvector")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_COST_GUARD, "")
+        assert f"an integer of at least 4305 digits to print, limit {limit} digits" in err
 
     def test_guards_hold_without_a_digit_limit(self, capsys, monkeypatch):
         # a limit of 0 (none), or none at all before Python 3.10.7, reads as

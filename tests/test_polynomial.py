@@ -29,26 +29,14 @@ class TestArithmetic:
     def test_ring_operations(self):
         one_plus_x = IntPolynomial([1, 1])
         assert (one_plus_x * one_plus_x).coeffs == (1, 2, 1)
-        assert (one_plus_x + 2).coeffs == (3, 1)
-        assert (one_plus_x - one_plus_x).coeffs == ()
-        assert (3 * one_plus_x).coeffs == (3, 3)
-        assert (one_plus_x ** 3).coeffs == (1, 3, 3, 1)
-        # (1 - x)^70 by repeated squaring of a signed polynomial
-        assert (IntPolynomial([1, -1]) ** 70).coeffs == \
-            tuple((-1) ** k * math.comb(70, k) for k in range(71))
+        assert (one_plus_x + IntPolynomial([2])).coeffs == (3, 1)
+        assert (one_plus_x + IntPolynomial([-1, -1])).coeffs == ()
         assert one_plus_x.shifted(2).coeffs == (0, 0, 1, 1)
 
     def test_evaluate_uses_big_integers(self):
         p = IntPolynomial([1] * 30)
         assert p.evaluate(10) == int("1" * 30)
         assert eulerian(3).evaluate(1) == math.factorial(3)
-
-    def test_compose_with_shift(self):
-        # expanding A_3 in powers of (x-1) and substituting back is the identity
-        a3 = eulerian(3)
-        x_minus_1 = IntPolynomial([-1, 1])
-        x_plus_1 = IntPolynomial([1, 1])
-        assert a3.compose(x_minus_1).compose(x_plus_1) == a3
 
     def test_immutability(self):
         p = IntPolynomial([1, 2])
@@ -124,12 +112,6 @@ class TestProduct:
         assert product.coeffs == tuple(poly_mul(gaps, gaps))
         assert product.coeffs[0] == 0 and product.coeffs[-1] != 0
 
-    def test_int_times_polynomial(self):
-        p = IntPolynomial(range(1, 50))
-        assert (3 * p).coeffs == (p * 3).coeffs == tuple(3 * c for c in range(1, 50))
-        assert (0 * p).coeffs == ()
-        assert (-(10**40) * p).coeffs == tuple(poly_mul([-(10**40)], list(range(1, 50))))
-
     def test_closed_form_against_the_oracle(self):
         for n in range(4, 61):
             a = list(eulerian(n - 2).coeffs)
@@ -203,16 +185,17 @@ class TestFtoH:
             f_to_h([1, 1, 1, 1], 1)
 
     def test_horner_equals_term_by_term_expansion(self):
+        # sum_i f_{i-1} x^i (1-x)^(d+1-i), each power by the binomial theorem
         rng = random.Random(43)
-        one_minus_x = IntPolynomial((1, -1))
         for _ in range(200):
             d = rng.randint(-1, 30)
             f = [1] + [rng.choice((0, rng.randint(-10**30, 10**30)))
                        for _ in range(rng.randint(0, d + 1))]
-            expected = IntPolynomial(())
+            expected = [0] * (d + 2)
             for i, c in enumerate(f):
-                expected = expected + (c * one_minus_x ** (d + 1 - i)).shifted(i)
-            assert f_to_h(f, d) == expected, (f, d)
+                for j in range(d + 2 - i):
+                    expected[i + j] += c * (-1) ** j * math.comb(d + 1 - i, j)
+            assert f_to_h(f, d) == IntPolynomial(expected), (f, d)
 
 
 class TestClosedForm:
